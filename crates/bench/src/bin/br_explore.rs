@@ -145,7 +145,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         scale: Scale::Test,
         jobs: 0,
-        tier: ExecTier::Traced,
+        tier: ExecTier::default(),
         section9: false,
         bench: false,
         smoke: false,
@@ -332,8 +332,8 @@ fn record_replay(
 }
 
 /// The naive baseline: one full live-hook emulation of the suite for a
-/// single cache configuration (what `Experiment::run_with_cache` does
-/// today, on its default interpreted tier).
+/// single cache configuration (what `Experiment::run_with_cache` does,
+/// on the given tier).
 fn live_suite(
     progs: &[Program],
     names: &[&'static str],
@@ -802,8 +802,9 @@ fn run_bench(args: &Args) -> Result<bool, String> {
 
     // Naive: one live-hook emulation per *design point* — what a sweep
     // script over the status-quo per-run API does: run_with_cache for
-    // the point's geometry (interp tier, its default), then price the
-    // point's pipeline depth from that run's measurements.
+    // the point's geometry, then price the point's pipeline depth from
+    // that run's measurements. It stays on the interp tier, the tier
+    // `BENCH_explore.json`'s recorded speedup was measured against.
     let t_naive = Instant::now();
     let mut naive = Vec::with_capacity(cfgs.len());
     for cfg in &cfgs {

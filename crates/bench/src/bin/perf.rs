@@ -284,8 +284,8 @@ fn run_emu(args: &Args) {
     );
 
     // `fast_insts_per_sec` stays the headline metric (the hook-free
-    // default-tier loop, = interp) so the seed/current speedup ratio
-    // remains comparable across schema versions.
+    // interp loop) so the seed/current speedup ratio remains comparable
+    // across schema versions.
     let section = format!(
         "{{\n    \"unix_time\": {},\n    \"total_suite_insts\": {insts},\n    \
          \"fast_insts_per_sec\": {interp_ips:.0},\n    \"interp_insts_per_sec\": {interp_ips:.0},\n    \

@@ -238,8 +238,8 @@ pub struct Experiment {
     /// per-function results reassemble in module order.
     pub jobs: usize,
     /// Emulator execution tier for the experiment's runs. All tiers
-    /// produce byte-identical [`br_emu::Measurements`]; `Threaded` and
-    /// `Traced` only run faster. Defaults to the plain interpreter.
+    /// produce byte-identical [`br_emu::Measurements`] and differ only
+    /// in speed. Defaults to the fastest, `Traced`.
     pub tier: br_emu::ExecTier,
 }
 

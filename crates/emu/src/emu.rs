@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use br_isa::{abi, AluOp, FpuOp, MInst, Machine, MemWidth, Program, Src2, TextWord};
+use br_isa::{abi, AluOp, FpuOp, ImageError, MInst, Machine, MemWidth, Program, Src2, TextWord};
 
 use crate::hooks::ExecHook;
 use crate::measure::Measurements;
@@ -25,6 +25,9 @@ pub enum EmuError {
     BranchInDelaySlot(u32),
     /// An instruction illegal for this machine reached execution.
     WrongMachine(u32),
+    /// The program image does not fit the memory map, so it was never
+    /// loaded (see [`Program::check_layout`]).
+    Image(ImageError),
 }
 
 impl fmt::Display for EmuError {
@@ -39,6 +42,7 @@ impl fmt::Display for EmuError {
             EmuError::OutOfFuel => write!(f, "instruction budget exhausted"),
             EmuError::BranchInDelaySlot(pc) => write!(f, "branch in delay slot at {pc:#x}"),
             EmuError::WrongMachine(pc) => write!(f, "illegal instruction at {pc:#x}"),
+            EmuError::Image(e) => write!(f, "program image not loaded: {e}"),
         }
     }
 }
@@ -88,19 +92,22 @@ pub(crate) struct BrState {
 /// Which execution engine [`Emulator::run_with_hook`] uses for
 /// fault-free runs. Every tier produces byte-identical [`Measurements`],
 /// hook event streams, and [`EmuError`]s — the tiers differ only in
-/// speed. Runs with armed [`Fault`]s always use the interpreter
-/// regardless of the selected tier (fault injection rewrites fetched
-/// words mid-run, which the predecoded tiers cannot see).
+/// speed, so the default is the fastest, [`ExecTier::Traced`]. Runs with
+/// armed [`Fault`]s always use the interpreter regardless of the
+/// selected tier (fault injection rewrites fetched words mid-run, which
+/// the predecoded tiers cannot see).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecTier {
-    /// The reference match-loop interpreter.
-    #[default]
+    /// The reference match-loop interpreter: the semantics the other
+    /// tiers are checked against.
     Interp,
     /// Tier 1: function-pointer threaded dispatch over a predecoded
     /// constant-folded operand table (see `dispatch.rs`).
     Threaded,
-    /// Tier 2: threaded dispatch plus runtime-profiled superblock
-    /// traces executed as pre-linked handler runs (see `trace.rs`).
+    /// Tier 2 (the default): threaded dispatch plus runtime-profiled
+    /// superblock traces executed as pre-linked handler runs (see
+    /// `trace.rs`).
+    #[default]
     Traced,
 }
 
@@ -185,20 +192,29 @@ pub struct Emulator<'p> {
     /// Diagnostic: instructions retired inside superblock traces
     /// (subset of `meas.instructions`; always 0 off the traced tier).
     pub(crate) trace_insts: u64,
+    /// Why the image could not be loaded; every run reports it.
+    image_error: Option<ImageError>,
 }
 
 impl<'p> Emulator<'p> {
     /// Create an emulator with the program loaded: text copied at
     /// [`abi::TEXT_BASE`] (so jump tables are readable), data at
     /// [`abi::DATA_BASE`], stack pointer at [`abi::STACK_TOP`].
+    ///
+    /// An image that does not fit the memory map (one that skipped
+    /// [`Program::validate_image`], such as a decoded artifact) is not
+    /// loaded; every run then fails with [`EmuError::Image`].
     pub fn new(prog: &'p Program) -> Emulator<'p> {
         let mut mem = vec![0u8; abi::MEM_SIZE as usize];
-        for (i, w) in prog.code.iter().enumerate() {
-            let a = abi::TEXT_BASE as usize + i * 4;
-            mem[a..a + 4].copy_from_slice(&w.to_le_bytes());
+        let image_error = prog.check_layout().err();
+        if image_error.is_none() {
+            for (i, w) in prog.code.iter().enumerate() {
+                let a = abi::TEXT_BASE as usize + i * 4;
+                mem[a..a + 4].copy_from_slice(&w.to_le_bytes());
+            }
+            let d = abi::DATA_BASE as usize;
+            mem[d..d + prog.data.len()].copy_from_slice(&prog.data);
         }
-        let d = abi::DATA_BASE as usize;
-        mem[d..d + prog.data.len()].copy_from_slice(&prog.data);
         let mut regs = [0i32; 32];
         let sp = match prog.machine {
             Machine::Baseline => abi::BASE_SP,
@@ -223,7 +239,7 @@ impl<'p> Emulator<'p> {
             decoded,
             data_word,
             ops: Vec::new(),
-            tier: ExecTier::Interp,
+            tier: ExecTier::default(),
             engine: None,
             mem,
             regs,
@@ -242,11 +258,12 @@ impl<'p> Emulator<'p> {
             fail_mem: false,
             last_store: None,
             trace_insts: 0,
+            image_error,
         }
     }
 
     /// Select the execution engine for fault-free runs (default:
-    /// [`ExecTier::Interp`]). Tier state (predecoded operands, formed
+    /// [`ExecTier::Traced`]). Tier state (predecoded operands, formed
     /// traces) persists across `run` calls on the same emulator.
     pub fn set_tier(&mut self, tier: ExecTier) {
         self.tier = tier;
@@ -363,6 +380,9 @@ impl<'p> Emulator<'p> {
         fuel: u64,
         hook: &mut H,
     ) -> Result<i32, EmuError> {
+        if let Some(e) = &self.image_error {
+            return Err(EmuError::Image(e.clone()));
+        }
         let instrumented = !self.faults.is_empty() || self.fail_mem;
         if instrumented {
             // Fault injection rewrites fetched words and registers
@@ -929,6 +949,31 @@ mod tests {
         }
     }
 
+    /// Run `prog` hook-free on every [`ExecTier`] and assert that the
+    /// tiers agree on the result, `pc()`, the register file and the
+    /// [`Measurements`]. Returns the reference interpreter's run.
+    fn run_every_tier(prog: &Program, fuel: u64) -> (Result<i32, EmuError>, Emulator<'_>) {
+        let runs = ExecTier::ALL.map(|tier| {
+            let mut emu = Emulator::new(prog).with_tier(tier);
+            (emu.run(fuel), emu)
+        });
+        let [reference, rest @ ..] = runs;
+        assert_eq!(reference.1.tier(), ExecTier::Interp);
+        let regs = |emu: &Emulator| (0..32).map(|r| emu.reg(r)).collect::<Vec<_>>();
+        for (res, emu) in &rest {
+            let tier = emu.tier();
+            assert_eq!(*res, reference.0, "result on {tier}");
+            assert_eq!(emu.pc(), reference.1.pc(), "pc() on {tier}");
+            assert_eq!(regs(emu), regs(&reference.1), "registers on {tier}");
+            assert_eq!(
+                emu.measurements(),
+                reference.1.measurements(),
+                "measurements on {tier}"
+            );
+        }
+        reference
+    }
+
     #[test]
     fn baseline_returns_value_via_r1() {
         let prog = asm_main(
@@ -946,8 +991,8 @@ mod tests {
                 AsmItem::Inst(MInst::Nop { br: 0 }, None),
             ],
         );
-        let mut emu = Emulator::new(&prog);
-        assert_eq!(emu.run(1000).unwrap(), 7);
+        let (res, emu) = run_every_tier(&prog, 1000);
+        assert_eq!(res, Ok(7));
         // call, nop(delay), add, jmpl, nop(delay), halt = 6 instructions
         assert_eq!(emu.measurements().instructions, 6);
         assert_eq!(emu.measurements().transfers, 2); // call + jmpl
@@ -976,8 +1021,7 @@ mod tests {
                 AsmItem::Inst(MInst::Nop { br: 0 }, None),
             ],
         );
-        let mut emu = Emulator::new(&prog);
-        assert_eq!(emu.run(1000).unwrap(), 5);
+        assert_eq!(run_every_tier(&prog, 1000).0, Ok(5));
     }
 
     #[test]
@@ -1017,8 +1061,8 @@ mod tests {
                 AsmItem::Inst(MInst::Nop { br: 0 }, None),
             ],
         );
-        let mut emu = Emulator::new(&prog);
-        assert_eq!(emu.run(1000).unwrap(), 0);
+        let (res, emu) = run_every_tier(&prog, 1000);
+        assert_eq!(res, Ok(0));
         assert_eq!(emu.measurements().cond_transfers, 1);
         assert_eq!(emu.measurements().cond_taken, 1);
     }
@@ -1027,8 +1071,8 @@ mod tests {
     fn br_machine_returns_via_b7() {
         // main body: r1 = 7 with br=7 (return through b[7] set by the stub).
         let prog = asm_main(Machine::BranchReg, vec![AsmItem::Inst(alu(1, 0, 7, 7), None)]);
-        let mut emu = Emulator::new(&prog);
-        assert_eq!(emu.run(1000).unwrap(), 7);
+        let (res, emu) = run_every_tier(&prog, 1000);
+        assert_eq!(res, Ok(7));
         // stub: sethi, bmovr, nop[br=1], then add[br=7], halt = 5
         assert_eq!(emu.measurements().instructions, 5);
         assert_eq!(emu.measurements().transfers, 2); // nop[br=1] + add[br=7]
@@ -1079,8 +1123,8 @@ mod tests {
             AsmItem::Inst(MInst::Nop { br: 3 }, None), // return
         ];
         let prog = asm_main(Machine::BranchReg, items);
-        let mut emu = Emulator::new(&prog);
-        assert_eq!(emu.run(1000).unwrap(), 3);
+        let (res, emu) = run_every_tier(&prog, 1000);
+        assert_eq!(res, Ok(3));
         let m = emu.measurements();
         // 3 conditional transfers (2 taken + 1 fall-through).
         assert_eq!(m.cond_transfers, 3);
@@ -1130,8 +1174,7 @@ mod tests {
             items: vec![AsmItem::Inst(alu(1, 0, 5, 7), None)], // r1 = 5; ret
         });
         let prog = p.assemble().unwrap();
-        let mut emu = Emulator::new(&prog);
-        assert_eq!(emu.run(1000).unwrap(), 15);
+        assert_eq!(run_every_tier(&prog, 1000).0, Ok(15));
     }
 
     #[test]
@@ -1164,8 +1207,8 @@ mod tests {
                 AsmItem::Inst(alu(1, 0, 1, 3), None), // return via saved b3
             ],
         );
-        let mut emu = Emulator::new(&prog);
-        assert_eq!(emu.run(1000).unwrap(), 1);
+        let (res, emu) = run_every_tier(&prog, 1000);
+        assert_eq!(res, Ok(1));
         let m = emu.measurements();
         // Two dist-1 transfers: the stub's call (bmovr immediately before
         // its carrier) and our nop[br=2] right after the bcalc.
@@ -1192,8 +1235,9 @@ mod tests {
                 AsmItem::Inst(MInst::Nop { br: 2 }, None),
             ],
         );
-        let mut emu = Emulator::new(&prog);
-        assert_eq!(emu.run(100), Err(EmuError::OutOfFuel));
+        let (res, emu) = run_every_tier(&prog, 100);
+        assert_eq!(res, Err(EmuError::OutOfFuel));
+        assert_eq!(emu.measurements().instructions, 100);
     }
 
     #[test]
@@ -1232,8 +1276,8 @@ mod tests {
                 AsmItem::Inst(MInst::Nop { br: 0 }, None),
             ],
         );
-        let mut emu = Emulator::new(&prog);
-        assert_eq!(emu.run(1000).unwrap(), 0);
+        let (res, emu) = run_every_tier(&prog, 1000);
+        assert_eq!(res, Ok(0));
         assert_eq!(emu.measurements().data_refs, 2);
     }
 
@@ -1259,8 +1303,8 @@ mod tests {
     fn error_bad_fetch_reports_pc_and_state_survives() {
         // Falls off the end of the text segment.
         let prog = asm_main(Machine::Baseline, vec![AsmItem::Inst(alu(1, 0, 9, 0), None)]);
-        let mut emu = Emulator::new(&prog);
-        let err = emu.run(100).unwrap_err();
+        let (res, emu) = run_every_tier(&prog, 100);
+        let err = res.unwrap_err();
         let EmuError::BadFetch(at) = err else {
             panic!("expected BadFetch, got {err:?}");
         };
@@ -1280,8 +1324,8 @@ mod tests {
             ],
         );
         let main = prog.symbol("main").unwrap();
-        let mut emu = Emulator::new(&prog);
-        assert_eq!(emu.run(100), Err(EmuError::ExecutedData(main + 4)));
+        let (res, emu) = run_every_tier(&prog, 100);
+        assert_eq!(res, Err(EmuError::ExecutedData(main + 4)));
         assert_eq!(emu.pc(), main + 4);
     }
 
@@ -1303,8 +1347,8 @@ mod tests {
         items.extend(base_ret());
         let prog = asm_main(Machine::Baseline, items);
         let main = prog.symbol("main").unwrap();
-        let mut emu = Emulator::new(&prog);
-        match emu.run(100) {
+        let (res, emu) = run_every_tier(&prog, 100);
+        match res {
             Err(EmuError::BadMem { pc, addr }) => {
                 assert_eq!(pc, main + 4);
                 assert_eq!(addr, (-16i32) as u32);
@@ -1329,8 +1373,8 @@ mod tests {
         items.extend(base_ret());
         let prog = asm_main(Machine::Baseline, items);
         let main = prog.symbol("main").unwrap();
-        let mut emu = Emulator::new(&prog);
-        assert_eq!(emu.run(100), Err(EmuError::DivByZero(main)));
+        let (res, emu) = run_every_tier(&prog, 100);
+        assert_eq!(res, Err(EmuError::DivByZero(main)));
         assert_eq!(emu.pc(), main);
     }
 
@@ -1345,8 +1389,8 @@ mod tests {
                 AsmItem::Inst(MInst::Nop { br: 0 }, None),
             ],
         );
-        let mut emu = Emulator::new(&prog);
-        assert_eq!(emu.run(50), Err(EmuError::OutOfFuel));
+        let (res, emu) = run_every_tier(&prog, 50);
+        assert_eq!(res, Err(EmuError::OutOfFuel));
         assert_eq!(emu.measurements().instructions, 50);
     }
 
@@ -1363,8 +1407,9 @@ mod tests {
             ],
         );
         let main = prog.symbol("main").unwrap();
-        let mut emu = Emulator::new(&prog);
-        assert_eq!(emu.run(100), Err(EmuError::BranchInDelaySlot(main + 4)));
+        let (res, emu) = run_every_tier(&prog, 100);
+        assert_eq!(res, Err(EmuError::BranchInDelaySlot(main + 4)));
+        assert_eq!(emu.pc(), main + 4);
     }
 
     #[test]
@@ -1372,8 +1417,6 @@ mod tests {
         // Hand-build a program whose text claims to be for the BR machine
         // but contains a baseline-only branch (the assembler would refuse
         // to encode this, so bypass it).
-        use crate::hooks::NoHook;
-        use br_isa::TextWord;
         let prog = Program {
             machine: Machine::BranchReg,
             code: vec![0],
@@ -1383,11 +1426,44 @@ mod tests {
             symbols: Default::default(),
             blocks: Default::default(),
         };
-        let mut emu = Emulator::new(&prog);
-        assert_eq!(
-            emu.run_with_hook(100, &mut NoHook),
-            Err(EmuError::WrongMachine(abi::TEXT_BASE))
-        );
+        let (res, emu) = run_every_tier(&prog, 100);
+        assert_eq!(res, Err(EmuError::WrongMachine(abi::TEXT_BASE)));
+        assert_eq!(emu.pc(), abi::TEXT_BASE);
+    }
+
+    #[test]
+    fn image_outside_the_memory_map_is_a_typed_error_not_a_panic() {
+        // Images that skipped `Program::validate_image`: text one word
+        // past `DATA_BASE`, and data as large as all of memory.
+        let halt = br_isa::encode(Machine::Baseline, MInst::Halt).unwrap();
+        let words = ((abi::DATA_BASE - abi::TEXT_BASE) / 4 + 1) as usize;
+        let long_text = Program {
+            machine: Machine::Baseline,
+            code: vec![halt; words],
+            text: vec![TextWord::Inst(MInst::Halt); words],
+            data: vec![],
+            entry: abi::TEXT_BASE,
+            symbols: Default::default(),
+            blocks: Default::default(),
+        };
+        let big_data = Program {
+            code: vec![halt],
+            text: vec![TextWord::Inst(MInst::Halt)],
+            data: vec![0; abi::MEM_SIZE as usize],
+            ..long_text.clone()
+        };
+        let text_end = abi::DATA_BASE as u64 + 4;
+        let data_end = abi::DATA_BASE as u64 + abi::MEM_SIZE as u64;
+        let cases = [
+            (long_text, ImageError::TextPastDataBase { end: text_end }),
+            (big_data, ImageError::DataPastStackTop { end: data_end }),
+        ];
+        for (prog, want) in cases {
+            let (res, emu) = run_every_tier(&prog, 100);
+            assert_eq!(res, Err(EmuError::Image(want)));
+            assert_eq!(emu.pc(), abi::TEXT_BASE);
+            assert_eq!(emu.measurements().instructions, 0);
+        }
     }
 
     // ----- fault injection -----
@@ -1514,19 +1590,40 @@ mod tests {
                 Machine::BranchReg => items.push(AsmItem::Inst(alu(1, 2, 0, 7), None)),
             }
             let prog = asm_main(machine, items);
-            let mut emu = Emulator::new(&prog);
-            let mut hook = TraceHook::default();
-            assert_eq!(emu.run_with_hook(100, &mut hook).unwrap(), 77);
-            assert_eq!(
-                hook.stores,
-                vec![(abi::STACK_TOP - 8, 77)],
-                "store stream on {machine}"
-            );
-            assert_eq!(
-                hook.retires.len() as u64,
-                emu.measurements().instructions,
-                "every executed instruction retires on {machine}"
-            );
+            let mut reference: Option<(TraceHook, Measurements)> = None;
+            for tier in ExecTier::ALL {
+                let mut emu = Emulator::new(&prog).with_tier(tier);
+                let mut hook = TraceHook::default();
+                assert_eq!(
+                    emu.run_with_hook(100, &mut hook),
+                    Ok(77),
+                    "{machine}, {tier}"
+                );
+                assert_eq!(
+                    hook.stores,
+                    vec![(abi::STACK_TOP - 8, 77)],
+                    "store stream on {machine}, {tier}"
+                );
+                assert_eq!(
+                    hook.retires.len() as u64,
+                    emu.measurements().instructions,
+                    "every executed instruction retires on {machine}, {tier}"
+                );
+                let (ref_hook, ref_meas) =
+                    reference.get_or_insert_with(|| (hook.clone(), emu.measurements().clone()));
+                let streams =
+                    |h: &TraceHook| [h.fetches.clone(), h.prefetches.clone(), h.retires.clone()];
+                assert_eq!(
+                    streams(&hook),
+                    streams(ref_hook),
+                    "hook streams on {machine}, {tier}"
+                );
+                assert_eq!(
+                    emu.measurements(),
+                    ref_meas,
+                    "measurements on {machine}, {tier}"
+                );
+            }
         }
     }
 
@@ -1548,8 +1645,7 @@ mod tests {
                 AsmItem::Inst(MInst::Nop { br: 0 }, None),
             ],
         );
-        let mut emu = Emulator::new(&prog);
-        assert_eq!(emu.run(1000).unwrap(), 0);
+        assert_eq!(run_every_tier(&prog, 1000).0, Ok(0));
     }
 
     #[test]
@@ -1598,6 +1694,10 @@ mod tests {
                 "branch in delay slot at 0x50",
             ),
             (EmuError::WrongMachine(0x54), "illegal instruction at 0x54"),
+            (
+                EmuError::Image(ImageError::DataPastStackTop { end: 0x80_0000 }),
+                "program image not loaded: data segment ends at 0x800000, past the stack top 0x7ffff0",
+            ),
         ];
         for (e, want) in cases {
             assert_eq!(e.to_string(), want);

@@ -45,6 +45,17 @@ pub enum ImageError {
         /// End of the text segment.
         end: u32,
     },
+    /// The text segment ends past [`abi::DATA_BASE`], so loading the
+    /// data segment would overwrite it.
+    TextPastDataBase {
+        /// Address just past the last text word.
+        end: u64,
+    },
+    /// The data segment ends past [`abi::STACK_TOP`].
+    DataPastStackTop {
+        /// Address just past the last data byte.
+        end: u64,
+    },
 }
 
 impl fmt::Display for ImageError {
@@ -70,6 +81,16 @@ impl fmt::Display for ImageError {
                 f,
                 "branch at {addr:#x} targets {target:#x}, outside the text segment [{:#x}, {end:#x})",
                 abi::TEXT_BASE
+            ),
+            ImageError::TextPastDataBase { end } => write!(
+                f,
+                "text segment ends at {end:#x}, past the data segment base {:#x}",
+                abi::DATA_BASE
+            ),
+            ImageError::DataPastStackTop { end } => write!(
+                f,
+                "data segment ends at {end:#x}, past the stack top {:#x}",
+                abi::STACK_TOP
             ),
         }
     }
@@ -176,9 +197,30 @@ impl Program {
         self.blocks[..n].last()
     }
 
-    /// Structurally validate the image: parallel `code`/`text`, aligned
-    /// in-range entry, in-range block marks, and every pc-relative
-    /// control transfer landing inside the text segment.
+    /// Check that the image fits the memory map: text ends at or below
+    /// [`abi::DATA_BASE`] and data at or below [`abi::STACK_TOP`]. This
+    /// is the part of [`Program::validate_image`] that loading needs.
+    ///
+    /// # Errors
+    ///
+    /// [`ImageError::TextPastDataBase`] or
+    /// [`ImageError::DataPastStackTop`].
+    pub fn check_layout(&self) -> Result<(), ImageError> {
+        let text_end = abi::TEXT_BASE as u64 + 4 * self.code.len() as u64;
+        if text_end > abi::DATA_BASE as u64 {
+            return Err(ImageError::TextPastDataBase { end: text_end });
+        }
+        let data_end = abi::DATA_BASE as u64 + self.data.len() as u64;
+        if data_end > abi::STACK_TOP as u64 {
+            return Err(ImageError::DataPastStackTop { end: data_end });
+        }
+        Ok(())
+    }
+
+    /// Structurally validate the image: parallel `code`/`text`, segments
+    /// inside the memory map, aligned in-range entry, in-range block
+    /// marks, and every pc-relative control transfer landing inside the
+    /// text segment.
     ///
     /// Indirect transfers (`jmpl`, branch-register jumps) are runtime
     /// properties and are checked by the emulator, not here.
@@ -194,6 +236,7 @@ impl Program {
                 text: self.text.len(),
             });
         }
+        self.check_layout()?;
         let end = self.text_end();
         if !self.entry.is_multiple_of(4) {
             return Err(ImageError::UnalignedEntry { entry: self.entry });
@@ -372,6 +415,33 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("ghost.L3"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_segments_outside_the_memory_map() {
+        // Text may fill every word below DATA_BASE, but not one more.
+        let halt = crate::encode(Machine::Baseline, MInst::Halt).unwrap();
+        let mut p = tiny();
+        let words = ((abi::DATA_BASE - abi::TEXT_BASE) / 4) as usize;
+        p.code = vec![halt; words];
+        p.text = vec![TextWord::Inst(MInst::Halt); words];
+        assert_eq!(p.validate_image(), Ok(()));
+        p.code.push(halt);
+        p.text.push(TextWord::Inst(MInst::Halt));
+        let err = p.validate_image().unwrap_err();
+        let end = abi::DATA_BASE as u64 + 4;
+        assert_eq!(err, ImageError::TextPastDataBase { end });
+        assert!(err.to_string().contains("data segment base"), "{err}");
+
+        // Data may end at STACK_TOP, but not one byte past it.
+        let mut p = tiny();
+        p.data = vec![0; (abi::STACK_TOP - abi::DATA_BASE) as usize];
+        assert_eq!(p.validate_image(), Ok(()));
+        p.data.push(0);
+        let err = p.validate_image().unwrap_err();
+        let end = abi::STACK_TOP as u64 + 1;
+        assert_eq!(err, ImageError::DataPastStackTop { end });
+        assert!(err.to_string().contains("past the stack top"), "{err}");
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub struct ServeConfig {
     /// Run br-verify stage gates during compilation.
     pub verify: bool,
     /// Emulator execution tier for request runs. Measurements are
-    /// byte-identical across tiers; `Traced` is the fast choice for a
-    /// server that replays hot workloads.
+    /// byte-identical across tiers; the default, `Traced`, is the
+    /// fastest.
     pub tier: br_emu::ExecTier,
 }
 
@@ -107,8 +107,10 @@ struct Shared {
     shutdown: AtomicBool,
     queue: Mutex<VecDeque<TcpStream>>,
     qcv: Condvar,
-    /// Workers currently blocked in [`Shared::pop`] waiting for work —
-    /// the load-shedding admission check reads this.
+    /// Workers not serving a connection — waiting in [`Shared::pop`]
+    /// or on their way there; the load-shedding admission check reads
+    /// this. It starts at the pool size, so a client that connects as
+    /// soon as `spawn` returns is never shed by an idle server.
     idle: AtomicU64,
     cache: Cache,
     counters: Counters,
@@ -123,7 +125,6 @@ impl Shared {
     /// Dequeue the next connection; `None` once draining is complete.
     fn pop(&self) -> Option<TcpStream> {
         let mut q = self.queue.lock().unwrap();
-        self.idle.fetch_add(1, Ordering::SeqCst);
         let taken = loop {
             if let Some(s) = q.pop_front() {
                 break Some(s);
@@ -201,11 +202,11 @@ pub fn spawn(cfg: ServeConfig) -> io::Result<ServerHandle> {
 
     let shared = Arc::new(Shared {
         cache: Cache::new(cfg.cache_dir.clone()),
+        idle: AtomicU64::new(cfg.workers.max(1) as u64),
         cfg,
         shutdown: AtomicBool::new(false),
         queue: Mutex::new(VecDeque::new()),
         qcv: Condvar::new(),
-        idle: AtomicU64::new(0),
         counters: Counters::default(),
     });
 
@@ -302,6 +303,7 @@ fn supervise(shared: &Arc<Shared>) {
                         .counters
                         .workers_respawned
                         .fetch_add(1, Ordering::Relaxed);
+                    shared.idle.fetch_add(1, Ordering::SeqCst);
                     handles[idx] = Some(spawn_worker(shared.clone(), idx, tx.clone()));
                 } else {
                     live -= 1;
@@ -323,7 +325,9 @@ fn spawn_worker(
         .spawn(move || {
             while let Some(conn) = shared.pop() {
                 match serve_conn(&shared, conn) {
-                    ConnOutcome::Clean => {}
+                    ConnOutcome::Clean => {
+                        shared.idle.fetch_add(1, Ordering::SeqCst);
+                    }
                     ConnOutcome::Panicked => {
                         // This worker handled a poisoned request; hand
                         // the slot back for a fresh respawn.
@@ -572,4 +576,20 @@ fn run_spec(shared: &Shared, spec: &RunSpec) -> Result<Vec<MachineReply>, Error>
         }
     }
     Ok(replies)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn experiments_servers_and_emulators_start_on_the_traced_tier() {
+        let exp = br_core::Experiment::new();
+        let (prog, _) = exp
+            .compile("int main() { return 0; }", br_isa::Machine::Baseline)
+            .expect("compiles");
+        let emu = br_emu::Emulator::new(&prog);
+        let tiers = [exp.tier, ServeConfig::default().tier, emu.tier()];
+        assert_eq!(tiers, [br_emu::ExecTier::Traced; 3]);
+    }
 }

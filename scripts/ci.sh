@@ -11,10 +11,11 @@
 # both translated machines), the per-tier emulator perf gate, the
 # ISA-coverage gate
 # (br-prof --check-coverage), the br-tv translation-validation +
-# static-cost gate, and the byte-identical golden regeneration all
-# passed. See TORTURE.md for what the torture harness checks,
-# VERIFY.md for the per-stage static invariants, TV.md for the
-# whole-program layer, and INGEST.md for the foreign-ISA path.
+# static-cost gate, a short run of every benchmark workload (its own
+# package, which nothing else here builds), and the byte-identical
+# golden regeneration all passed. See TORTURE.md for what the torture
+# harness checks, VERIFY.md for the per-stage static invariants, TV.md
+# for the whole-program layer, and INGEST.md for the foreign-ISA path.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,10 +26,7 @@ cargo build --release
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo test -q (tier-1)"
-cargo test -q
-
-echo "==> cargo test -q --workspace"
+echo "==> cargo test -q --workspace (tier-1 and every member crate)"
 cargo test -q --workspace
 
 echo "==> observability & timing-model cross-checks (named, for log visibility)"
@@ -97,6 +95,14 @@ echo "==> br-serve bench + regression gates (fail below 0.3x recorded throughput
 cargo run --release -p br-serve --bin br-load -- --bench --requests 200 --threads 4 \
     --out target/BENCH_serve_ci.json --record current \
     --baseline BENCH_serve.json --check 0.3 --check-p99 10
+
+echo "==> benchmark smoke (every workload for a few seconds; traced paper_suite checks all three tiers)"
+for workload in paper_suite compile_fresh explore_sweep serve_mixed; do
+    cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 3 --trace 0 > /dev/null
+done
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload paper_suite --seed 1 --seconds 3 --trace 1 > /dev/null
 
 echo "==> results goldens (txt + profile JSON) regenerate byte-identical"
 regen_dir="target/results_regen"

@@ -108,6 +108,49 @@ fn minic_divide_by_zero_surfaces_through_the_experiment_api() {
 }
 
 #[test]
+fn data_segment_past_the_stack_top_is_a_typed_error() {
+    // 12,000,000 bytes of globals cannot load below `abi::STACK_TOP`.
+    let src = "int a[3000000]; int main() { a[5] = 3; return a[5]; }";
+    for machine in [Machine::Baseline, Machine::BranchReg] {
+        match Experiment::new().run(src, machine) {
+            Err(Error::Compile(CompileError::Asm(msg))) => {
+                assert!(msg.contains("past the stack top"), "{msg}")
+            }
+            other => panic!("expected an image error on {machine}, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn text_past_the_data_base_is_a_typed_error() {
+    // A valid module whose text outgrows the 15,360 words below
+    // `abi::DATA_BASE`: loading its data would overwrite the end of the
+    // text, `sel`'s jump table included.
+    let mut src = String::from("int big[60000];\n\nint pad() {\n");
+    for i in 0..6000 {
+        let (dst, src_idx) = (i % 997, (i + 1) % 997);
+        src.push_str(&format!("    big[{dst}] = big[{src_idx}] + {i};\n"));
+    }
+    src.push_str("    return big[0];\n}\n\nint sel(int k) {\n    switch (k) {\n");
+    for k in 0..8 {
+        src.push_str(&format!("        case {k}: return {};\n", 12 + k));
+    }
+    src.push_str("        default: return 0;\n    }\n}\n\n");
+    src.push_str("int main() { return sel(3) + sel(5) + big[7]; }\n");
+    let module = br_frontend::compile(&src).expect("valid MiniC");
+    let exit = br_ir::Interpreter::new(&module).run("main", &[]);
+    assert_eq!(exit.ok(), Some(32));
+    for machine in [Machine::Baseline, Machine::BranchReg] {
+        match Experiment::new().run(&src, machine) {
+            Err(Error::Compile(CompileError::Asm(msg))) => {
+                assert!(msg.contains("past the data segment base"), "{msg}")
+            }
+            other => panic!("expected an image error on {machine}, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn infinite_loop_exhausts_fuel() {
     let src = "int main() { while (1) { } return 0; }";
     let exp = Experiment {

@@ -38,8 +38,9 @@ fn compile(machine: Machine) -> Program {
     prog
 }
 
+/// The fault-free fast path of the reference interpreter.
 fn clean_run(prog: &Program) -> (i32, Measurements) {
-    let mut emu = Emulator::new(prog);
+    let mut emu = Emulator::new(prog).with_tier(ExecTier::Interp);
     let exit = emu.run(FUEL).expect("clean run");
     (exit, emu.measurements().clone())
 }

@@ -23,7 +23,7 @@ fn suite_tiers_are_byte_identical() {
                 .compile(&w.source, machine)
                 .unwrap_or_else(|e| panic!("{} on {machine}: {e}", w.name));
 
-            let mut interp = Emulator::new(&prog);
+            let mut interp = Emulator::new(&prog).with_tier(ExecTier::Interp);
             let mut ref_hook = TraceHook::default();
             let ref_exit = interp.run_with_hook(FUEL, &mut ref_hook).expect("interp");
             assert!(!ref_hook.truncated(), "{} trace capped", w.name);
@@ -119,55 +119,61 @@ fn suite_measurements_identical_under_profiling() {
                 .compile(&w.source, machine)
                 .unwrap_or_else(|e| panic!("{} on {machine}: {e}", w.name));
 
-            // Hook-free fast path.
-            let mut fast = Emulator::new(&prog);
-            let fast_exit = fast.run(FUEL).expect("fast run");
+            for tier in ExecTier::ALL {
+                // Hook-free fast path.
+                let mut fast = Emulator::new(&prog).with_tier(tier);
+                let fast_exit = fast.run(FUEL).expect("fast run");
 
-            // The same binary under the profiler.
-            let mut profiled = Emulator::new(&prog);
-            let mut hook = ProfileHook::new(&prog);
-            let prof_exit = profiled
-                .run_with_hook(FUEL, &mut hook)
-                .expect("profiled run");
+                // The same binary under the profiler.
+                let mut profiled = Emulator::new(&prog).with_tier(tier);
+                let mut hook = ProfileHook::new(&prog);
+                let prof_exit = profiled
+                    .run_with_hook(FUEL, &mut hook)
+                    .expect("profiled run");
 
-            assert_eq!(fast_exit, prof_exit, "{} exit on {machine}", w.name);
-            assert_eq!(
-                fast.measurements(),
-                profiled.measurements(),
-                "{} measurements under ProfileHook on {machine}",
-                w.name
-            );
+                assert_eq!(
+                    fast_exit, prof_exit,
+                    "{} exit under {tier} on {machine}",
+                    w.name
+                );
+                assert_eq!(
+                    fast.measurements(),
+                    profiled.measurements(),
+                    "{} measurements under ProfileHook, {tier}, on {machine}",
+                    w.name
+                );
 
-            // Full attribution: one retire per instruction, every retire
-            // lands in an opcode bucket and a codegen basic block, and
-            // nothing executed that was never emitted.
-            let m = profiled.measurements().clone();
-            let p = hook.finish(w.name, &m);
-            assert_eq!(p.retired, m.instructions, "{} retires on {machine}", w.name);
-            assert_eq!(
-                p.opcodes.iter().sum::<u64>(),
-                p.retired,
-                "{} opcode attribution on {machine}",
-                w.name
-            );
-            assert_eq!(
-                p.blocks.iter().map(|(_, n)| n).sum::<u64>(),
-                p.retired,
-                "{} block attribution on {machine}",
-                w.name
-            );
-            assert_eq!(
-                p.coverage.executed & !p.coverage.emitted,
-                0,
-                "{} executed ⊆ emitted on {machine}",
-                w.name
-            );
-            assert_eq!(
-                p.breg.is_some(),
-                machine == Machine::BranchReg,
-                "{} breg stats only on the BR machine",
-                w.name
-            );
+                // Full attribution: one retire per instruction, every retire
+                // lands in an opcode bucket and a codegen basic block, and
+                // nothing executed that was never emitted.
+                let m = profiled.measurements().clone();
+                let p = hook.finish(w.name, &m);
+                assert_eq!(p.retired, m.instructions, "{} retires on {machine}", w.name);
+                assert_eq!(
+                    p.opcodes.iter().sum::<u64>(),
+                    p.retired,
+                    "{} opcode attribution on {machine}",
+                    w.name
+                );
+                assert_eq!(
+                    p.blocks.iter().map(|(_, n)| n).sum::<u64>(),
+                    p.retired,
+                    "{} block attribution on {machine}",
+                    w.name
+                );
+                assert_eq!(
+                    p.coverage.executed & !p.coverage.emitted,
+                    0,
+                    "{} executed ⊆ emitted on {machine}",
+                    w.name
+                );
+                assert_eq!(
+                    p.breg.is_some(),
+                    machine == Machine::BranchReg,
+                    "{} breg stats only on the BR machine",
+                    w.name
+                );
+            }
         }
     }
 }
