@@ -1,9 +1,9 @@
 //! `br-bench` — the measurement harness.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md's experiment index); the Criterion benches in
-//! `benches/` time the pipeline itself. All binaries accept `--paper`
-//! to run the full-size inputs (the default is the fast test scale).
+//! paper (see DESIGN.md's experiment index). All binaries accept
+//! `--paper` to run the full-size inputs (the default is the fast test
+//! scale).
 
 use br_core::Scale;
 
@@ -72,7 +72,7 @@ where
     None
 }
 
-/// Profile the Appendix I suite on both machines (metered compiles, a
+/// Profile the Appendix I suite on both machines (compile metrics, a
 /// [`br_obs::ProfileHook`] per run) and write the JSON report to `path`.
 /// The report omits wall times, so its bytes are stable at any `jobs`.
 pub fn write_suite_profile(path: &str, scale: Scale, jobs: usize) -> Result<(), String> {
@@ -93,10 +93,10 @@ pub fn write_suite_profile(path: &str, scale: Scale, jobs: usize) -> Result<(), 
                 .compile_module_metered(module, machine)
                 .map_err(|e| format!("{name} on {machine}: {e}"))?;
             let mut hook = br_obs::ProfileHook::new(&prog);
-            let mut emu = br_emu::Emulator::new(&prog);
-            emu.run_with_hook(exp.fuel, &mut hook)
+            let run = exp
+                .run_program(&prog, stats, Some(&mut hook))
                 .map_err(|e| format!("{name} on {machine}: {e}"))?;
-            runs.push(hook.finish(name, emu.measurements()));
+            runs.push(hook.finish(name, &run.meas));
             compiles.push(br_obs::CompileProfile {
                 name: name.to_string(),
                 machine,

@@ -407,7 +407,8 @@ fn find_held(
 /// the loop forest of `ir`'s CFG (the caller builds it for spill-cost
 /// depths; hoisting takes it over rather than recomputing). The returned
 /// [`HoistPlan`] records which branch registers hold hoisted targets in
-/// which blocks, so post-emission checkers can audit the discipline.
+/// which blocks, so post-emission checkers can audit the discipline; the
+/// returned `u64` is the wall time of hoist planning in nanoseconds.
 pub fn emit_brmach(
     ir: &Function,
     vf: &mut VFunc,
@@ -415,22 +416,7 @@ pub fn emit_brmach(
     alloc: &Allocation,
     opts: BrOptions,
     loops: br_ir::LoopForest,
-) -> Result<(AsmFunc, CodegenStats, HoistPlan), CodegenError> {
-    emit_brmach_with(ir, vf, target, alloc, opts, loops, None)
-}
-
-/// [`emit_brmach`] with an optional slot that receives the wall time of
-/// the hoisting planner, for per-stage compiler profiling; `None` skips
-/// the clock reads entirely.
-pub fn emit_brmach_with(
-    ir: &Function,
-    vf: &mut VFunc,
-    target: &TargetSpec,
-    alloc: &Allocation,
-    opts: BrOptions,
-    loops: br_ir::LoopForest,
-    hoist_ns: Option<&mut u64>,
-) -> Result<(AsmFunc, CodegenStats, HoistPlan), CodegenError> {
+) -> Result<(AsmFunc, CodegenStats, HoistPlan, u64), CodegenError> {
     vf.max_out_args = compute_max_out_args(vf, target);
 
     // Does anything clobber b[7] before the return carriers?
@@ -444,15 +430,9 @@ pub fn emit_brmach_with(
     // Leaf functions with internal transfers stash b[7] in a caller-saved
     // branch register (no memory traffic), so withhold one from hoisting.
     let want_stash = has_internal && !vf.has_call;
-    let plan = match hoist_ns {
-        None => hoist::plan(ir, vf, &opts, want_stash, loops),
-        Some(slot) => {
-            let t = std::time::Instant::now();
-            let plan = hoist::plan(ir, vf, &opts, want_stash, loops);
-            *slot = t.elapsed().as_nanos() as u64;
-            plan
-        }
-    };
+    let t = std::time::Instant::now();
+    let plan = hoist::plan(ir, vf, &opts, want_stash, loops);
+    let hoist_ns = crate::elapsed_ns(t);
     let (_, caller_pool) = opts.pools();
 
     // Return-address strategy.
@@ -628,6 +608,7 @@ pub fn emit_brmach_with(
         },
         e.stats,
         plan,
+        hoist_ns,
     ))
 }
 
@@ -1125,7 +1106,7 @@ mod tests {
             .map(|i| loops.depth(br_ir::BlockId(i as u32)))
             .collect();
         let alloc = allocate(&mut vf, &t, &depth).unwrap();
-        let (afunc, stats, _plan) = emit_brmach(f, &mut vf, &t, &alloc, opts, loops).unwrap();
+        let (afunc, stats, _plan, _) = emit_brmach(f, &mut vf, &t, &alloc, opts, loops).unwrap();
         (afunc, stats)
     }
 

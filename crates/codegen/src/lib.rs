@@ -45,6 +45,8 @@ pub use emit::CodegenStats;
 pub use error::CodegenError;
 pub use target::{BaseOptions, BrOptions, TargetSpec};
 
+use std::time::Instant;
+
 use br_ir::{Cfg, Dominators, LoopForest, Module};
 use br_isa::{AsmFunc, AsmProgram, Machine};
 
@@ -72,16 +74,19 @@ pub struct CompiledModule {
     pub asm: AsmProgram,
     /// Static code-generation statistics, summed over all functions.
     pub stats: CodegenStats,
+    /// Stage wall times and allocator counters, summed over all
+    /// functions plus the module's selection time.
+    pub metrics: CompileMetrics,
 }
 
-/// Per-stage wall times of one compilation, in nanoseconds. Collected
-/// only by the metered entry points ([`ModuleBatch::compile_func_metered`]);
-/// the plain pipeline never reads the clock. Deliberately *not* part of
-/// [`CodegenStats`], which is pinned byte-identical across `--jobs`
-/// levels — wall times are inherently nondeterministic.
+/// Per-stage wall times of one compilation, in nanoseconds. Every
+/// compilation collects them (a few clock reads per function).
+/// Deliberately *not* part of [`CodegenStats`], which is pinned
+/// byte-identical across `--jobs` levels — wall times are inherently
+/// nondeterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
-    /// Instruction selection (serial front half, including `Ir` gates).
+    /// Instruction selection (serial front half, excluding `Ir` gates).
     pub isel_ns: u64,
     /// Register allocation (coloring + spill rewrite).
     pub regalloc_ns: u64,
@@ -101,22 +106,26 @@ impl StageTimes {
     }
 }
 
-/// Counters and timings from one function's trip through the metered
-/// back half of the pipeline.
+/// Stage wall times and allocator counters of one function, or, summed
+/// by [`ModuleBatch::finish`], of one module on one machine. Profile
+/// reports keep the wall times out of their deterministic sections.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FuncMetrics {
-    /// Stage wall times (the `isel_ns` component is zero here; selection
-    /// is module-level, see [`ModuleBatch::isel_ns`]).
+pub struct CompileMetrics {
+    /// Stage wall times. Per function `isel_ns` is zero: selection is
+    /// module-level, and [`ModuleBatch::finish`] adds it once.
     pub times: StageTimes,
-    /// Spill slots the register allocator inserted.
+    /// Spill slots inserted by the register allocator.
     pub spills: u32,
+    /// Number of compiled functions.
+    pub funcs: usize,
 }
 
-impl FuncMetrics {
-    /// Fold another function's metrics into this total.
-    pub fn accumulate(&mut self, other: &FuncMetrics) {
+impl CompileMetrics {
+    /// Fold another function's or module's metrics into this total.
+    pub fn accumulate(&mut self, other: &CompileMetrics) {
         self.times.accumulate(&other.times);
         self.spills += other.spills;
+        self.funcs += other.funcs;
     }
 }
 
@@ -193,7 +202,7 @@ pub struct ModuleBatch<'a> {
     /// (index into `module.functions`, selected virtual code).
     funcs: Vec<(usize, vcode::VFunc)>,
     pool: isel::ConstPool,
-    /// Wall time of the serial selection front half.
+    /// Wall time of selection alone, summed over functions.
     isel_ns: u64,
 }
 
@@ -215,17 +224,18 @@ where
     let target = TargetSpec::for_machine(machine);
     let mut pool = isel::ConstPool::new();
     let mut funcs = Vec::new();
-    let t = std::time::Instant::now();
+    let mut isel_ns = 0;
     for (fi, func) in module.functions.iter().enumerate() {
         if func.blocks.is_empty() {
             continue; // prototype without a body
         }
         gate(Stage::Ir { func }).map_err(GatedError::Gate)?;
+        let t = Instant::now();
         let mut vf = isel::select(module, func, &target, &mut pool)?;
         vf.max_out_args = baseline::compute_max_out_args(&vf, &target);
+        isel_ns += elapsed_ns(t);
         funcs.push((fi, vf));
     }
-    let isel_ns = t.elapsed().as_nanos() as u64;
     Ok(ModuleBatch {
         module,
         machine,
@@ -263,13 +273,6 @@ impl ModuleBatch<'_> {
         self.funcs.is_empty()
     }
 
-    /// Wall time of the serial selection front half, in nanoseconds
-    /// (includes the `Ir` gates). Attributed once per module, not per
-    /// function.
-    pub fn isel_ns(&self) -> u64 {
-        self.isel_ns
-    }
-
     /// Per-function frame geometry of the selected code: where each IR
     /// stack slot lands relative to the adjusted stack pointer, and how
     /// wide the outgoing-argument overflow area is. Slot offsets depend
@@ -293,43 +296,16 @@ impl ModuleBatch<'_> {
     }
 
     /// Register-allocate and emit function `i` of the batch, running the
-    /// `Regalloc` and `Emit` gates. Reads `&self` only (the selected
-    /// virtual code is cloned before the spill rewrite mutates it), so
-    /// distinct indices may run on distinct threads; the gate must be
-    /// `Fn` for the same reason.
+    /// `Regalloc` and `Emit` gates, and time allocation, hoist planning
+    /// and emission (the gates are not timed). Reads `&self` only (the
+    /// selected virtual code is cloned before the spill rewrite mutates
+    /// it), so distinct indices may run on distinct threads; the gate
+    /// must be `Fn` for the same reason.
     pub fn compile_func<E, G>(
         &self,
         i: usize,
         gate: &G,
-    ) -> Result<(AsmFunc, CodegenStats), GatedError<E>>
-    where
-        G: Fn(Stage<'_>) -> Result<(), E>,
-    {
-        self.compile_func_inner(i, gate, None)
-    }
-
-    /// [`compile_func`](Self::compile_func) plus per-stage wall times and
-    /// allocator counters. Only this variant reads the clock — the plain
-    /// path stays byte-for-byte on the throughput-gated hot path.
-    pub fn compile_func_metered<E, G>(
-        &self,
-        i: usize,
-        gate: &G,
-    ) -> Result<((AsmFunc, CodegenStats), FuncMetrics), GatedError<E>>
-    where
-        G: Fn(Stage<'_>) -> Result<(), E>,
-    {
-        let mut metrics = FuncMetrics::default();
-        let out = self.compile_func_inner(i, gate, Some(&mut metrics))?;
-        Ok((out, metrics))
-    }
-
-    fn compile_func_inner<E, G>(
-        &self,
-        i: usize,
-        gate: &G,
-        mut metrics: Option<&mut FuncMetrics>,
-    ) -> Result<(AsmFunc, CodegenStats), GatedError<E>>
+    ) -> Result<(AsmFunc, CodegenStats, CompileMetrics), GatedError<E>>
     where
         G: Fn(Stage<'_>) -> Result<(), E>,
     {
@@ -345,12 +321,14 @@ impl ModuleBatch<'_> {
             .map(|i| loops.depth(br_ir::BlockId(i as u32)))
             .collect();
 
-        let t = metrics.as_ref().map(|_| std::time::Instant::now());
+        let mut metrics = CompileMetrics {
+            funcs: 1,
+            ..CompileMetrics::default()
+        };
+        let t = Instant::now();
         let alloc = regalloc::allocate(&mut vf, &self.target, &depth)?;
-        if let (Some(m), Some(t)) = (metrics.as_mut(), t) {
-            m.times.regalloc_ns = t.elapsed().as_nanos() as u64;
-            m.spills = vf.num_spills;
-        }
+        metrics.times.regalloc_ns = elapsed_ns(t);
+        metrics.spills = vf.num_spills;
         gate(Stage::Regalloc {
             func,
             vcode: &vf,
@@ -359,31 +337,20 @@ impl ModuleBatch<'_> {
         })
         .map_err(GatedError::Gate)?;
 
-        let t = metrics.as_ref().map(|_| std::time::Instant::now());
-        let mut hoist_ns = 0u64;
+        let t = Instant::now();
         let (afunc, fstats, plan) = match self.machine {
             Machine::Baseline => {
                 let (a, s) = baseline::emit_baseline(&vf, &self.target, &alloc, self.base_opts)?;
                 (a, s, None)
             }
             Machine::BranchReg => {
-                let slot = metrics.is_some().then_some(&mut hoist_ns);
-                let (a, s, p) = brmach::emit_brmach_with(
-                    func,
-                    &mut vf,
-                    &self.target,
-                    &alloc,
-                    self.br_opts,
-                    loops,
-                    slot,
-                )?;
+                let (a, s, p, hoist_ns) =
+                    brmach::emit_brmach(func, &mut vf, &self.target, &alloc, self.br_opts, loops)?;
+                metrics.times.hoist_ns = hoist_ns;
                 (a, s, Some(p))
             }
         };
-        if let (Some(m), Some(t)) = (metrics, t) {
-            m.times.emit_ns = t.elapsed().as_nanos() as u64;
-            m.times.hoist_ns = hoist_ns;
-        }
+        metrics.times.emit_ns = elapsed_ns(t);
         gate(Stage::Emit {
             func,
             asm: &afunc,
@@ -392,24 +359,36 @@ impl ModuleBatch<'_> {
             br_opts: self.br_opts,
         })
         .map_err(GatedError::Gate)?;
-        Ok((afunc, fstats))
+        Ok((afunc, fstats, metrics))
     }
 
     /// Assemble the per-function outputs (one per batch function, in
     /// batch order) plus the module's globals and constant pool into the
-    /// final compiled module.
-    pub fn finish(self, parts: Vec<(AsmFunc, CodegenStats)>) -> CompiledModule {
+    /// final compiled module, summing the functions' statistics and
+    /// metrics and adding the module's selection time.
+    pub fn finish(self, parts: Vec<(AsmFunc, CodegenStats, CompileMetrics)>) -> CompiledModule {
         debug_assert_eq!(parts.len(), self.funcs.len());
         let mut asm = AsmProgram::new(self.machine);
         let mut stats = CodegenStats::default();
-        for (afunc, fstats) in parts {
+        let mut metrics = CompileMetrics::default();
+        metrics.times.isel_ns = self.isel_ns;
+        for (afunc, fstats, fmetrics) in parts {
             stats.accumulate(&fstats);
+            metrics.accumulate(&fmetrics);
             asm.funcs.push(afunc);
         }
         asm.data = data::lower_globals(self.module);
         asm.data.extend(data::lower_pool(self.pool.into_items()));
-        CompiledModule { asm, stats }
+        CompiledModule {
+            asm,
+            stats,
+            metrics,
+        }
     }
+}
+
+pub(crate) fn elapsed_ns(t: Instant) -> u64 {
+    t.elapsed().as_nanos() as u64
 }
 
 /// Compile `module` for `machine`, calling `gate` after every pipeline
@@ -417,7 +396,7 @@ impl ModuleBatch<'_> {
 /// virtual code after register allocation, and the assembly stream after
 /// emission; returning `Err` aborts compilation with
 /// [`GatedError::Gate`]. [`compile_module`] is this function with a
-/// no-op gate; the `br-verify` crate supplies checking gates.
+/// no-op gate; `br_verify::check_stage` is the checking gate.
 ///
 /// Stage order: the `Ir` gates of *all* functions run first (during
 /// selection), then each function's `Regalloc` and `Emit` gates in
@@ -429,20 +408,15 @@ pub fn compile_module_with<E, G>(
     machine: Machine,
     base_opts: BaseOptions,
     br_opts: BrOptions,
-    gate: &mut G,
+    gate: &G,
 ) -> Result<CompiledModule, GatedError<E>>
 where
-    G: FnMut(Stage<'_>) -> Result<(), E>,
+    G: Fn(Stage<'_>) -> Result<(), E>,
 {
-    let batch = select_module_with(module, machine, base_opts, br_opts, gate)?;
-    // compile_func wants a shared `Fn` gate (it is thread-safe); adapt
-    // the serial caller's `FnMut` through a RefCell.
-    let cell = std::cell::RefCell::new(gate);
-    let shared = |s: Stage<'_>| -> Result<(), E> { (cell.borrow_mut())(s) };
-    let mut parts = Vec::with_capacity(batch.len());
-    for i in 0..batch.len() {
-        parts.push(batch.compile_func(i, &shared)?);
-    }
+    let batch = select_module_with(module, machine, base_opts, br_opts, &mut &*gate)?;
+    let parts = (0..batch.len())
+        .map(|i| batch.compile_func(i, gate))
+        .collect::<Result<_, _>>()?;
     Ok(batch.finish(parts))
 }
 
@@ -459,13 +433,11 @@ pub fn compile_module(
     base_opts: BaseOptions,
     br_opts: BrOptions,
 ) -> Result<CompiledModule, CodegenError> {
-    let mut no_gate = |_: Stage<'_>| Ok::<(), std::convert::Infallible>(());
-    compile_module_with(module, machine, base_opts, br_opts, &mut no_gate).map_err(
-        |e| match e {
-            GatedError::Codegen(c) => c,
-            GatedError::Gate(never) => match never {},
-        },
-    )
+    let no_gate = |_: Stage<'_>| Ok::<(), std::convert::Infallible>(());
+    compile_module_with(module, machine, base_opts, br_opts, &no_gate).map_err(|e| match e {
+        GatedError::Codegen(c) => c,
+        GatedError::Gate(never) => match never {},
+    })
 }
 
 #[cfg(test)]
@@ -863,6 +835,35 @@ mod tests {
                 emu.run(100_000_000).unwrap()
             };
             assert_eq!(base, fused, "{name} disagrees under fused compare");
+        }
+    }
+
+    #[test]
+    fn isel_time_excludes_ir_gate_time() {
+        // A gate that sleeps 20 ms before each function's selection: the
+        // reported selection time must not include it.
+        let module = br_frontend::compile("int main() { return 2 + 3; }").unwrap();
+        let slow_ir_gate = |stage: Stage<'_>| {
+            if let Stage::Ir { .. } = stage {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            Ok::<(), std::convert::Infallible>(())
+        };
+        for machine in [Machine::Baseline, Machine::BranchReg] {
+            let out = compile_module_with(
+                &module,
+                machine,
+                Default::default(),
+                Default::default(),
+                &slow_ir_gate,
+            )
+            .unwrap();
+            assert_eq!(out.metrics.funcs, 1);
+            assert!(
+                out.metrics.times.isel_ns < 20_000_000,
+                "isel_ns {} counts the gate's sleep on {machine}",
+                out.metrics.times.isel_ns
+            );
         }
     }
 

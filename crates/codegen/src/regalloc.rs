@@ -339,7 +339,7 @@ const MAX_ROUNDS: u32 = 40;
 /// `depth[b]` is the loop-nesting depth of block `b` (spill-cost weight).
 ///
 /// Fails with [`CodegenError::RegallocDiverged`] if allocation does not
-/// converge within [`MAX_ROUNDS`] spill rounds — that indicates a bug
+/// converge within `MAX_ROUNDS` (40) spill rounds — that indicates a bug
 /// rather than a hard program, but it must surface as an error, not an
 /// abort, so differential drivers can report and minimize it.
 pub fn allocate(

@@ -19,11 +19,14 @@
 //! ```
 
 use std::fmt;
+use std::time::Instant;
+
+use br_codegen::{GatedError, Stage};
 
 pub mod parallel;
 
 pub use br_codegen::{
-    BaseOptions, BrOptions, CodegenError, CodegenStats, FuncMetrics, StageTimes,
+    BaseOptions, BrOptions, CodegenError, CodegenStats, CompileMetrics, StageTimes,
 };
 pub use br_emu::{EmuError, FetchRecorder, FetchTrace, Measurements, TraceEvent};
 pub use br_frontend::CompileError as FrontendError;
@@ -102,15 +105,6 @@ impl From<br_ingest::IngestError> for CompileError {
     }
 }
 
-impl From<br_verify::PipelineError> for CompileError {
-    fn from(e: br_verify::PipelineError) -> CompileError {
-        match e {
-            br_verify::PipelineError::Codegen(c) => CompileError::Codegen(c),
-            br_verify::PipelineError::Verify(v) => CompileError::Verify(v),
-        }
-    }
-}
-
 /// Unified error type of the experiment pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Error {
@@ -166,30 +160,6 @@ impl From<CodegenError> for Error {
 impl From<EmuError> for Error {
     fn from(e: EmuError) -> Error {
         Error::Emu(e)
-    }
-}
-
-/// Aggregated compiler metrics for one module on one machine, from the
-/// metered pipeline ([`Experiment::compile_module_metered`]): per-stage
-/// wall times plus allocator counters. Wall times are nondeterministic by
-/// nature; profile reports keep them out of the deterministic sections.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CompileMetrics {
-    /// Stage wall times: `isel_ns` covers the serial selection front
-    /// half once per module; the other stages are summed over functions.
-    pub times: StageTimes,
-    /// Spill slots inserted by the register allocator, summed.
-    pub spills: u32,
-    /// Number of compiled functions.
-    pub funcs: usize,
-}
-
-impl CompileMetrics {
-    /// Fold another module's metrics into this total.
-    pub fn accumulate(&mut self, other: &CompileMetrics) {
-        self.times.accumulate(&other.times);
-        self.spills += other.spills;
-        self.funcs += other.funcs;
     }
 }
 
@@ -291,45 +261,8 @@ impl Experiment {
         module: &br_ir::Module,
         machine: Machine,
     ) -> Result<(Program, CodegenStats), Error> {
-        let out = self.codegen(module, machine)?;
-        let prog = out
-            .asm
-            .assemble()
-            .map_err(|e| CompileError::Asm(e.to_string()))?;
-        Ok((prog, out.stats))
-    }
-
-    fn codegen(
-        &self,
-        module: &br_ir::Module,
-        machine: Machine,
-    ) -> Result<br_codegen::CompiledModule, CompileError> {
-        use br_codegen::GatedError;
-        if self.verify {
-            let to_compile = |e| match e {
-                GatedError::Codegen(c) => CompileError::Codegen(c),
-                GatedError::Gate(v) => CompileError::Verify(v),
-            };
-            let mut gate = br_verify::check_stage;
-            let batch = br_codegen::select_module_with(
-                module,
-                machine,
-                self.base_opts,
-                self.br_opts,
-                &mut gate,
-            )
-            .map_err(to_compile)?;
-            self.finish_batch(batch, &br_verify::check_stage)
-                .map_err(to_compile)
-        } else {
-            let batch =
-                br_codegen::select_module(module, machine, self.base_opts, self.br_opts)?;
-            let no_gate = |_: br_codegen::Stage<'_>| Ok::<(), std::convert::Infallible>(());
-            self.finish_batch(batch, &no_gate).map_err(|e| match e {
-                GatedError::Codegen(c) => CompileError::Codegen(c),
-                GatedError::Gate(never) => match never {},
-            })
-        }
+        let (prog, stats, _) = self.compile_gated(module, machine, None)?;
+        Ok((prog, stats))
     }
 
     /// [`Experiment::compile_module_for`] under a wall-clock budget:
@@ -350,56 +283,14 @@ impl Experiment {
         &self,
         module: &br_ir::Module,
         machine: Machine,
-        deadline: Option<std::time::Instant>,
+        deadline: Option<Instant>,
     ) -> Result<(Program, CodegenStats), Error> {
-        enum GateErr {
-            Deadline { elapsed_ms: u64 },
-            Verify(VerifyError),
-        }
-        let started = std::time::Instant::now();
-        let verify = self.verify;
-        let gate = move |stage: br_codegen::Stage<'_>| -> Result<(), GateErr> {
-            if let Some(d) = deadline {
-                if std::time::Instant::now() >= d {
-                    return Err(GateErr::Deadline {
-                        elapsed_ms: started.elapsed().as_millis() as u64,
-                    });
-                }
-            }
-            if verify {
-                br_verify::check_stage(stage).map_err(GateErr::Verify)
-            } else {
-                Ok(())
-            }
-        };
-        let to_compile = |e: br_codegen::GatedError<GateErr>| match e {
-            br_codegen::GatedError::Codegen(c) => CompileError::Codegen(c),
-            br_codegen::GatedError::Gate(GateErr::Deadline { elapsed_ms }) => {
-                CompileError::Deadline { elapsed_ms }
-            }
-            br_codegen::GatedError::Gate(GateErr::Verify(v)) => CompileError::Verify(v),
-        };
-        let mut select_gate = gate;
-        let batch = br_codegen::select_module_with(
-            module,
-            machine,
-            self.base_opts,
-            self.br_opts,
-            &mut select_gate,
-        )
-        .map_err(to_compile)?;
-        let out = self.finish_batch(batch, &select_gate).map_err(to_compile)?;
-        let prog = out
-            .asm
-            .assemble()
-            .map_err(|e| CompileError::Asm(e.to_string()))?;
-        Ok((prog, out.stats))
+        let (prog, stats, _) = self.compile_gated(module, machine, deadline)?;
+        Ok((prog, stats))
     }
 
-    /// [`Experiment::compile_module_for`] through the metered pipeline:
-    /// identical output, plus per-stage wall times and allocator
-    /// counters. Only profiling callers pay for the clock reads — the
-    /// plain path is untouched.
+    /// [`Experiment::compile_module_for`], also returning the per-stage
+    /// wall times and allocator counters every compile collects.
     ///
     /// # Errors
     ///
@@ -409,96 +300,57 @@ impl Experiment {
         module: &br_ir::Module,
         machine: Machine,
     ) -> Result<(Program, CodegenStats, CompileMetrics), Error> {
-        use br_codegen::GatedError;
-        let (out, metrics) = if self.verify {
-            let to_compile = |e| match e {
-                GatedError::Codegen(c) => CompileError::Codegen(c),
-                GatedError::Gate(v) => CompileError::Verify(v),
-            };
-            let mut gate = br_verify::check_stage;
-            let batch = br_codegen::select_module_with(
-                module,
-                machine,
-                self.base_opts,
-                self.br_opts,
-                &mut gate,
-            )
-            .map_err(to_compile)?;
-            self.finish_batch_metered(batch, &br_verify::check_stage)
-                .map_err(to_compile)?
-        } else {
-            let batch = br_codegen::select_module(module, machine, self.base_opts, self.br_opts)
-                .map_err(CompileError::Codegen)?;
-            let no_gate = |_: br_codegen::Stage<'_>| Ok::<(), std::convert::Infallible>(());
-            self.finish_batch_metered(batch, &no_gate)
-                .map_err(|e| match e {
-                    GatedError::Codegen(c) => CompileError::Codegen(c),
-                    GatedError::Gate(never) => match never {},
-                })?
+        self.compile_gated(module, machine, None)
+    }
+
+    /// The one compile path behind every `compile*` entry point: serial
+    /// selection, then allocation and emission fanned across
+    /// `self.jobs` threads, then assembly. One stage gate first checks
+    /// `deadline`, then runs the `br-verify` checker for the stage when
+    /// [`Experiment::verify`] is set. `map_ordered` returns results in
+    /// function order, so both the assembled module and the first-error
+    /// choice are deterministic at every jobs level.
+    fn compile_gated(
+        &self,
+        module: &br_ir::Module,
+        machine: Machine,
+        deadline: Option<Instant>,
+    ) -> Result<(Program, CodegenStats, CompileMetrics), Error> {
+        let started = Instant::now();
+        let gate = |stage: Stage<'_>| -> Result<(), CompileError> {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                let elapsed_ms = started.elapsed().as_millis() as u64;
+                return Err(CompileError::Deadline { elapsed_ms });
+            }
+            if self.verify {
+                br_verify::check_stage(stage)?;
+            }
+            Ok(())
         };
+        let flatten = |e| match e {
+            GatedError::Codegen(c) => CompileError::Codegen(c),
+            GatedError::Gate(g) => g,
+        };
+        let batch = br_codegen::select_module_with(
+            module,
+            machine,
+            self.base_opts,
+            self.br_opts,
+            &mut &gate,
+        )
+        .map_err(flatten)?;
+        let indices: Vec<usize> = (0..batch.len()).collect();
+        let parts =
+            parallel::map_ordered(&indices, self.jobs, |_, &i| batch.compile_func(i, &gate))
+                .into_iter()
+                .collect::<Result<_, _>>()
+                .map_err(flatten)?;
+        let out = batch.finish(parts);
         let prog = out
             .asm
             .assemble()
             .map_err(|e| CompileError::Asm(e.to_string()))?;
-        Ok((prog, out.stats, metrics))
-    }
-
-    /// Metered variant of [`finish_batch`](Self::finish_batch): same
-    /// fan-out, but each function reports its [`FuncMetrics`], which are
-    /// aggregated in module order.
-    fn finish_batch_metered<E, G>(
-        &self,
-        batch: br_codegen::ModuleBatch<'_>,
-        gate: &G,
-    ) -> Result<(br_codegen::CompiledModule, CompileMetrics), br_codegen::GatedError<E>>
-    where
-        G: Fn(br_codegen::Stage<'_>) -> Result<(), E> + Sync,
-        E: Send,
-    {
-        let indices: Vec<usize> = (0..batch.len()).collect();
-        let parts = parallel::map_ordered(&indices, self.jobs, |_, &i| {
-            batch.compile_func_metered(i, gate)
-        });
-        let mut ok = Vec::with_capacity(parts.len());
-        let mut agg = FuncMetrics::default();
-        for p in parts {
-            let (out, m) = p?;
-            agg.accumulate(&m);
-            ok.push(out);
-        }
-        let metrics = CompileMetrics {
-            times: StageTimes {
-                isel_ns: batch.isel_ns(),
-                ..agg.times
-            },
-            spills: agg.spills,
-            funcs: batch.len(),
-        };
-        Ok((batch.finish(ok), metrics))
-    }
-
-    /// Fan the back half of codegen (allocation + emission) across
-    /// `self.jobs` threads and reassemble. `map_ordered` returns results
-    /// in function order, so both the assembled module and the
-    /// first-error choice are deterministic at every jobs level.
-    fn finish_batch<E, G>(
-        &self,
-        batch: br_codegen::ModuleBatch<'_>,
-        gate: &G,
-    ) -> Result<br_codegen::CompiledModule, br_codegen::GatedError<E>>
-    where
-        G: Fn(br_codegen::Stage<'_>) -> Result<(), E> + Sync,
-        E: Send,
-    {
-        let indices: Vec<usize> = (0..batch.len()).collect();
-        let parts = parallel::map_ordered(&indices, self.jobs, |_, &i| {
-            batch.compile_func(i, gate)
-        });
-        let mut ok = Vec::with_capacity(parts.len());
-        for p in parts {
-            ok.push(p?);
-        }
-        Ok(batch.finish(ok))
+        Ok((prog, out.stats, out.metrics))
     }
 
     /// Compile and run on one machine.
@@ -514,8 +366,34 @@ impl Experiment {
     /// Compile an already-lowered module and run it on one machine.
     fn run_module(&self, module: &br_ir::Module, machine: Machine) -> Result<RunResult, Error> {
         let (prog, stats) = self.compile_module_for(module, machine)?;
-        let mut emu = br_emu::Emulator::new(&prog).with_tier(self.tier);
-        let exit = emu.run(self.fuel)?;
+        self.run_program(&prog, stats, None::<&mut br_emu::NoHook>)
+    }
+
+    /// The one run path: emulate `prog` on [`Experiment::tier`] with
+    /// [`Experiment::fuel`], reporting every fetch, prefetch and
+    /// retirement to `hook` when one is given. `stats` are `prog`'s
+    /// codegen statistics, carried into the result. It takes the program
+    /// rather than a module so that callers can size a hook from the
+    /// program first.
+    ///
+    /// # Errors
+    ///
+    /// Emulation errors.
+    pub fn run_program<H: br_emu::ExecHook + ?Sized>(
+        &self,
+        prog: &Program,
+        stats: CodegenStats,
+        hook: Option<&mut H>,
+    ) -> Result<RunResult, Error> {
+        let mut emu = br_emu::Emulator::new(prog).with_tier(self.tier);
+        let exit = match hook {
+            Some(hook) => emu.run_with_hook(self.fuel, hook)?,
+            // `Emulator::run` uses the hook-free loops compiled inside
+            // br-emu. A `run_with_hook::<NoHook>` instance built in this
+            // crate made the benchmark's `paper_suite` about 2% slower
+            // (2-core Xeon VM).
+            None => emu.run(self.fuel)?,
+        };
         Ok(RunResult {
             exit,
             meas: emu.measurements().clone(),
@@ -537,49 +415,8 @@ impl Experiment {
     ) -> Result<(RunResult, CacheStats), Error> {
         let (prog, stats) = self.compile(src, machine)?;
         let mut cache = ICacheSim::new(cfg);
-        let mut emu = br_emu::Emulator::new(&prog).with_tier(self.tier);
-        let exit = emu.run_with_hook(self.fuel, &mut cache)?;
-        Ok((
-            RunResult {
-                exit,
-                meas: emu.measurements().clone(),
-                stats,
-                static_insts: prog.static_inst_count(),
-            },
-            *cache.stats(),
-        ))
-    }
-
-    /// Compile an already-lowered module for `machine` and run it once
-    /// while recording a replayable [`FetchTrace`] (record-once /
-    /// replay-many: evaluate any number of [`CacheConfig`] geometries
-    /// with [`br_icache::replay`] and pipeline depths with
-    /// [`pipeline::depth_sweep`] from this single execution — see
-    /// DESIGN.md §design-space-exploration).
-    ///
-    /// # Errors
-    ///
-    /// Any pipeline error.
-    pub fn run_with_trace(
-        &self,
-        module: &br_ir::Module,
-        machine: Machine,
-    ) -> Result<(RunResult, FetchTrace), Error> {
-        let (prog, stats) = self.compile_module_for(module, machine)?;
-        let mut emu = br_emu::Emulator::new(&prog).with_tier(self.tier);
-        let mut rec = br_emu::FetchRecorder::new();
-        let exit = emu.run_with_hook(self.fuel, &mut rec)?;
-        let meas = emu.measurements().clone();
-        let trace = rec.finish(&meas);
-        Ok((
-            RunResult {
-                exit,
-                meas,
-                stats,
-                static_insts: prog.static_inst_count(),
-            },
-            trace,
-        ))
+        let run = self.run_program(&prog, stats, Some(&mut cache))?;
+        Ok((run, *cache.stats()))
     }
 
     /// Run `src` on both machines and check they agree.
@@ -591,20 +428,7 @@ impl Experiment {
     pub fn run_comparison(&self, name: &str, src: &str) -> Result<ProgramComparison, Error> {
         // The front end is machine-independent: lower once, codegen twice.
         let module = br_frontend::compile(src)?;
-        let baseline = self.run_module(&module, Machine::Baseline)?;
-        let brmach = self.run_module(&module, Machine::BranchReg)?;
-        if baseline.exit != brmach.exit {
-            return Err(Error::Mismatch {
-                name: name.to_string(),
-                baseline: baseline.exit,
-                brmach: brmach.exit,
-            });
-        }
-        Ok(ProgramComparison {
-            name: name.to_string(),
-            baseline,
-            brmach,
-        })
+        self.compare_machines(name, &module)
     }
 
     /// Translate a foreign RV32I image into an IR module ready for
@@ -617,20 +441,6 @@ impl Experiment {
     pub fn ingest_rv32(&self, prog: &br_ingest::Rv32Program) -> Result<br_ir::Module, Error> {
         let module = br_ingest::translate(prog).map_err(CompileError::Ingest)?;
         Ok(module)
-    }
-
-    /// Translate an RV32I image and run it on one machine.
-    ///
-    /// # Errors
-    ///
-    /// Any ingest or pipeline error.
-    pub fn run_rv32(
-        &self,
-        prog: &br_ingest::Rv32Program,
-        machine: Machine,
-    ) -> Result<RunResult, Error> {
-        let module = self.ingest_rv32(prog)?;
-        self.run_module(&module, machine)
     }
 
     /// Translate an RV32I image and run it on both machines, checking
@@ -648,8 +458,18 @@ impl Experiment {
         prog: &br_ingest::Rv32Program,
     ) -> Result<ProgramComparison, Error> {
         let module = self.ingest_rv32(prog)?;
-        let baseline = self.run_module(&module, Machine::Baseline)?;
-        let brmach = self.run_module(&module, Machine::BranchReg)?;
+        self.compare_machines(name, &module)
+    }
+
+    /// Run `module` on both machines and report [`Error::Mismatch`] when
+    /// their exit values differ.
+    fn compare_machines(
+        &self,
+        name: &str,
+        module: &br_ir::Module,
+    ) -> Result<ProgramComparison, Error> {
+        let baseline = self.run_module(module, Machine::Baseline)?;
+        let brmach = self.run_module(module, Machine::BranchReg)?;
         if baseline.exit != brmach.exit {
             return Err(Error::Mismatch {
                 name: name.to_string(),
@@ -736,13 +556,11 @@ impl Experiment {
         machine: Machine,
         stages: u32,
     ) -> Result<CostCheck, Error> {
-        let (prog, _) = self.compile_module_for(module, machine)?;
+        let (prog, stats) = self.compile_module_for(module, machine)?;
         let mut hook = RetireCounts::new(&prog);
-        let mut emu = br_emu::Emulator::new(&prog).with_tier(self.tier);
-        emu.run_with_hook(self.fuel, &mut hook)?;
-        let meas = emu.measurements();
+        let run = self.run_program(&prog, stats, Some(&mut hook))?;
         let static_est = br_verify::tv::static_cycles(&prog, &hook.counts, stages);
-        let dynamic = pipeline::machine_cycles(machine, meas, stages);
+        let dynamic = pipeline::machine_cycles(machine, &run.meas, stages);
         Ok(CostCheck {
             machine,
             stages,
@@ -968,19 +786,25 @@ mod tests {
     fn budgeted_compile_matches_unbudgeted_and_expires_typed() {
         let src = "int main() { int s = 0; for (int i = 0; i < 9; i++) s += i; return s; }";
         let module = br_frontend::compile(src).unwrap();
-        let exp = Experiment::new();
-        for m in [Machine::Baseline, Machine::BranchReg] {
-            // A generous budget produces byte-identical output.
-            let far = std::time::Instant::now() + std::time::Duration::from_secs(600);
-            let (plain, pstats) = exp.compile_module_for(&module, m).unwrap();
-            let (budgeted, bstats) = exp.compile_module_budgeted(&module, m, Some(far)).unwrap();
-            assert_eq!(plain.code, budgeted.code, "{m}");
-            assert_eq!(pstats, bstats, "{m}");
-            // An already-expired budget reports the typed deadline error.
-            let past = std::time::Instant::now();
-            match exp.compile_module_budgeted(&module, m, Some(past)) {
-                Err(Error::Compile(CompileError::Deadline { .. })) => {}
-                other => panic!("expected Deadline on {m}, got {other:?}"),
+        for verify in [false, true] {
+            let exp = Experiment {
+                verify,
+                ..Experiment::new()
+            };
+            for m in [Machine::Baseline, Machine::BranchReg] {
+                // A generous budget produces byte-identical output.
+                let far = Instant::now() + std::time::Duration::from_secs(600);
+                let (plain, pstats) = exp.compile_module_for(&module, m).unwrap();
+                let (budgeted, bstats) =
+                    exp.compile_module_budgeted(&module, m, Some(far)).unwrap();
+                assert_eq!(plain.code, budgeted.code, "{m} (verify={verify})");
+                assert_eq!(pstats, bstats, "{m} (verify={verify})");
+                // An already-expired budget reports the typed deadline error.
+                let past = Instant::now();
+                match exp.compile_module_budgeted(&module, m, Some(past)) {
+                    Err(Error::Compile(CompileError::Deadline { .. })) => {}
+                    other => panic!("expected Deadline on {m} (verify={verify}), got {other:?}"),
+                }
             }
         }
     }
@@ -1033,7 +857,7 @@ mod tests {
     #[test]
     fn rv32_ingest_rejects_bad_images_typed() {
         let prog = br_ingest::Rv32Program::new(vec![0xffff_ffff]);
-        match Experiment::new().run_rv32(&prog, Machine::Baseline) {
+        match Experiment::new().run_rv32_comparison("rv32/bad", &prog) {
             Err(Error::Compile(CompileError::Ingest(br_ingest::IngestError::BadWord {
                 pc: 0x1000,
                 ..

@@ -1,8 +1,8 @@
 //! Tier 2: profile-guided superblock traces.
 //!
-//! The threaded loops (`dispatch.rs`) call [`Emulator::trace_dispatch`]
+//! The threaded loops (`dispatch.rs`) call `Emulator::trace_dispatch`
 //! every time a control transfer completes. The engine counts how often
-//! each transfer target is reached; once a target crosses [`HOT`] it is
+//! each transfer target is reached; once a target crosses `HOT` it is
 //! stitched into a **superblock** — a straight-line run of predecoded
 //! ops spanning fused compare-and-branch pairs and delay slots — that
 //! executes as one pre-linked handler run with a single guard per side
@@ -13,27 +13,27 @@
 //! Formation rules per machine:
 //!
 //! * **Baseline** — conditional delayed branches become
-//!   [`Ctl::GuardTaken`] / [`Ctl::GuardNot`]: the trace follows the
+//!   `Ctl::GuardTaken` / `Ctl::GuardNot`: the trace follows the
 //!   *predicted* side (backward-taken / forward-not-taken) across the
 //!   delay slot, and a mispredict executes the delay slot then
 //!   side-exits to the other destination. `ba`/`call` are folded
-//!   completely ([`Ctl::Uncond`] keeps the transfer counters and
+//!   completely (`Ctl::Uncond` keeps the transfer counters and
 //!   `call`'s link write). `jmpl`, `halt`, and data words end the trace
 //!   *before* themselves so the threaded loop replays their exact
 //!   interpreter behavior.
 //! * **Branch register** — instructions with `br == 0` fall through and
-//!   stitch as [`Ctl::Plain`]. A compare-and-branch (`br != 0`) usually
-//!   falls through too, so it becomes a [`Ctl::BrGuard`]: the full
+//!   stitch as `Ctl::Plain`. A compare-and-branch (`br != 0`) usually
+//!   falls through too, so it becomes a `Ctl::BrGuard`: the full
 //!   transfer bookkeeping (fused fast-compare re-read, Figure 9
 //!   distance histogram, `b[7]` side effect) runs, and the trace
 //!   continues unless control actually left the fall-through path. Any
 //!   other `br != 0` op (calls, returns, computed jumps) has a
 //!   genuinely dynamic target: it ends the superblock as a
-//!   [`Ctl::BrTail`], which hands that target back to
-//!   [`Emulator::trace_dispatch`] to chain straight into the next
+//!   `Ctl::BrTail`, which hands that target back to
+//!   `Emulator::trace_dispatch` to chain straight into the next
 //!   superblock without touching the outer loop.
 //!
-//! All trace ops live in one contiguous arena ([`TraceEngine::arena`])
+//! All trace ops live in one contiguous arena (`TraceEngine::arena`)
 //! and each op is packed to 16 bytes (the control tag rides in the top
 //! byte of the pc word — text addresses are far below 16 MiB), so
 //! chaining between superblocks walks dense, cache-friendly memory

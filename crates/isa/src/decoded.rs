@@ -11,7 +11,7 @@
 //! * PC-relative displacements (`Bcc`, `Ba`, `Call`, `Bcalc`) become
 //!   absolute byte addresses;
 //! * `sethi` immediates are pre-shifted;
-//! * condition codes are stored as their [`Cc::code`] index.
+//! * condition codes are stored as their [`Cc::code`](crate::Cc::code) index.
 //!
 //! The flattening is **machine-aware**: an instruction that is illegal
 //! for the program's machine flattens to [`Kind::Wrong`], preserving

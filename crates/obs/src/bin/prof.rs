@@ -16,11 +16,7 @@
 use std::process::ExitCode;
 
 use br_core::{parallel, suite, Experiment, Machine, Scale};
-use br_emu::Emulator;
 use br_obs::{CompileProfile, ProfileHook, ProgramProfile, Report};
-
-/// Fuel per profiled run — matches the experiment default.
-const FUEL: u64 = 4_000_000_000;
 
 struct Args {
     scale: Scale,
@@ -97,8 +93,8 @@ fn corpus_sources() -> Vec<(String, String)> {
         .collect()
 }
 
-/// Profile one lowered module on both machines: compile through the
-/// metered pipeline, run under a [`ProfileHook`], and return the four
+/// Profile one lowered module on both machines: compile with stage
+/// metrics, run under a [`ProfileHook`], and return the four
 /// profile rows (execution + compile, per machine).
 fn profile_one(
     exp: &Experiment,
@@ -112,10 +108,10 @@ fn profile_one(
             .compile_module_metered(module, machine)
             .map_err(|e| format!("{name} on {machine}: {e}"))?;
         let mut hook = ProfileHook::new(&prog);
-        let mut emu = Emulator::new(&prog).with_tier(exp.tier);
-        emu.run_with_hook(FUEL, &mut hook)
+        let run = exp
+            .run_program(&prog, stats, Some(&mut hook))
             .map_err(|e| format!("{name} on {machine}: {e}"))?;
-        runs.push(hook.finish(name, emu.measurements()));
+        runs.push(hook.finish(name, &run.meas));
         compiles.push(CompileProfile {
             name: name.to_string(),
             machine,

@@ -18,9 +18,10 @@
 //!   [`Report::to_json`].
 //!
 //! Zero cost when off: the hook rides the emulator's `run_with_hook`
-//! instrumented paths; the hook-free fast path never sees any of this,
-//! and the plain compile pipeline never reads the clock (only
-//! `Experiment::compile_module_metered` does).
+//! instrumented paths, and the hook-free fast path never sees any of
+//! this. Compile metrics cost a few clock reads per function, which
+//! every compile pays; `Experiment::compile_module_metered` returns
+//! them.
 //!
 //! [`ExecHook`]: br_emu::ExecHook
 //! [`BlockMark`]: br_isa::BlockMark

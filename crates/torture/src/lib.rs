@@ -12,8 +12,8 @@
 //!   baseline machine, and the branch-register machine under a fuel
 //!   watchdog and cross-checks exit values, final global memory, and the
 //!   per-instruction store streams;
-//! * [`minimize`] greedily shrinks any failing program to a minimal
-//!   reproduction.
+//! * [`minimize`](mod@minimize) greedily shrinks any failing program to
+//!   a minimal reproduction.
 //!
 //! Run it with `cargo run -p br-torture -- --seed 42 --iters 1000`.
 

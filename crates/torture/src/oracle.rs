@@ -17,7 +17,7 @@
 use br_emu::{EmuError, Emulator, ExecHook};
 use br_ir::{InterpError, Interpreter, Module};
 use br_isa::{abi, Machine, Program};
-use br_verify::{PipelineError, VerifyError};
+use br_verify::VerifyError;
 
 /// Default fuel for each execution (dynamic instructions / IR steps).
 /// Generated programs finish in well under a million steps; anything that
@@ -222,72 +222,32 @@ pub(crate) struct EmuRun {
 
 /// Compile `module` for `machine` all the way to an executable program.
 pub fn compile_for(module: &Module, machine: Machine) -> Result<Program, Divergence> {
-    compile_for_with(module, machine, false)
+    compile_for_with(module, machine, false, None)
 }
 
-/// Compile `module` for `machine`, optionally running the `br-verify`
-/// stage gates after every compilation stage.
+/// Compile `module` for `machine` through
+/// [`br_core::Experiment::compile_module_budgeted`], the path every other
+/// caller compiles through, optionally running the `br-verify` stage
+/// gates and under an optional `(deadline, limit_ms)` budget. An expired
+/// budget is reported as [`Divergence::Budget`].
 pub fn compile_for_with(
-    module: &Module,
-    machine: Machine,
-    verify: bool,
-) -> Result<Program, Divergence> {
-    let out = if verify {
-        br_verify::compile_module_verified(
-            module,
-            machine,
-            Default::default(),
-            Default::default(),
-        )
-        .map_err(|e| match e {
-            PipelineError::Verify(err) => Divergence::Verify { machine, err },
-            PipelineError::Codegen(c) => Divergence::Codegen {
-                machine,
-                err: c.to_string(),
-            },
-        })?
-    } else {
-        br_codegen::compile_module(
-            module,
-            machine,
-            Default::default(),
-            Default::default(),
-        )
-        .map_err(|e| Divergence::Codegen {
-            machine,
-            err: e.to_string(),
-        })?
-    };
-    out.asm.assemble().map_err(|e| Divergence::Asm {
-        machine,
-        err: e.to_string(),
-    })
-}
-
-/// [`compile_for_with`], threading an optional wall-clock deadline
-/// through the pipeline's stage gates. `None` takes the exact
-/// unbudgeted path (no behaviour change for existing callers).
-fn compile_budgeted(
     module: &Module,
     machine: Machine,
     verify: bool,
     budget: Option<(std::time::Instant, u64)>,
 ) -> Result<Program, Divergence> {
-    let Some((deadline, limit_ms)) = budget else {
-        return compile_for_with(module, machine, verify);
-    };
     let exp = br_core::Experiment {
         verify,
         ..br_core::Experiment::new()
     };
-    exp.compile_module_budgeted(module, machine, Some(deadline))
+    exp.compile_module_budgeted(module, machine, budget.map(|(deadline, _)| deadline))
         .map(|(prog, _stats)| prog)
         .map_err(|e| match e {
             br_core::Error::Compile(br_core::CompileError::Deadline { elapsed_ms }) => {
                 Divergence::Budget {
                     stage: "compile stage gate",
                     elapsed_ms,
-                    limit_ms,
+                    limit_ms: budget.map_or(0, |(_, limit_ms)| limit_ms),
                 }
             }
             br_core::Error::Compile(br_core::CompileError::Codegen(c)) => Divergence::Codegen {
@@ -447,9 +407,9 @@ pub fn check_module_budgeted(
 
     // 2. Both machines.
     over("baseline compile")?;
-    let base_prog = compile_budgeted(module, Machine::Baseline, verify, budget)?;
+    let base_prog = compile_for_with(module, Machine::Baseline, verify, budget)?;
     over("branch-register compile")?;
-    let br_prog = compile_budgeted(module, Machine::BranchReg, verify, budget)?;
+    let br_prog = compile_for_with(module, Machine::BranchReg, verify, budget)?;
     over("baseline emulation")?;
     let base = run_machine(module, &base_prog, fuel)?;
     over("branch-register emulation")?;

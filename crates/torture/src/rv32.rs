@@ -65,8 +65,8 @@ pub fn check_rv32(
 
     // 2. Both machines, via the shared pipeline + store-capturing runner.
     let machine_fuel = fuel.saturating_mul(MACHINE_FUEL_FACTOR);
-    let base_prog = oracle::compile_for_with(&module, Machine::Baseline, verify)?;
-    let br_prog = oracle::compile_for_with(&module, Machine::BranchReg, verify)?;
+    let base_prog = oracle::compile_for_with(&module, Machine::Baseline, verify, None)?;
+    let br_prog = oracle::compile_for_with(&module, Machine::BranchReg, verify, None)?;
     let base = oracle::run_machine(&module, &base_prog, machine_fuel)?;
     let br = oracle::run_machine(&module, &br_prog, machine_fuel)?;
 

@@ -22,18 +22,16 @@
 //!    displacement ranges included). On the baseline machine it checks
 //!    delay-slot discipline instead of the branch-register protocol.
 //!
-//! [`compile_module_verified`] threads all three through
-//! [`br_codegen::compile_module_with`] as a gate, so a violation aborts
+//! [`check_stage`] dispatches a pipeline snapshot to the right checker;
+//! passed as the gate of [`br_codegen::compile_module_with`] (or of
+//! `br_core::Experiment` with `verify` set), it makes a violation abort
 //! compilation with a typed [`VerifyError`] naming the pass, block, and
 //! instruction. `VERIFY.md` at the repo root lists every invariant.
 
 use std::fmt;
 
-use br_codegen::{
-    BaseOptions, BrOptions, CodegenError, CompiledModule, GatedError, Stage,
-};
-use br_ir::Module;
-use br_isa::{EncodeError, Machine};
+use br_codegen::Stage;
+use br_isa::EncodeError;
 
 mod asm_check;
 mod ir_check;
@@ -282,30 +280,10 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Error from the verified pipeline: the compiler failed, or a checker
-/// rejected a stage's output.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PipelineError {
-    /// A codegen stage failed on its own.
-    Codegen(CodegenError),
-    /// A checker rejected a stage's output.
-    Verify(VerifyError),
-}
-
-impl fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PipelineError::Codegen(e) => write!(f, "{e}"),
-            PipelineError::Verify(e) => write!(f, "verification failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for PipelineError {}
-
-/// Run one checker on one pipeline stage snapshot. This is the gate
-/// body used by [`compile_module_verified`]; it is public so drivers
-/// with their own [`br_codegen::compile_module_with`] call can reuse it.
+/// Run one checker on one pipeline stage snapshot: the IR validator
+/// before selection, the regalloc replay after allocation, and the
+/// protocol lint after emission. This is the gate body of every verified
+/// compile.
 pub fn check_stage(stage: Stage<'_>) -> Result<(), VerifyError> {
     match stage {
         Stage::Ir { func } => check_ir(func),
@@ -325,28 +303,11 @@ pub fn check_stage(stage: Stage<'_>) -> Result<(), VerifyError> {
     }
 }
 
-/// Compile `module` for `machine` with every stage checked: the IR
-/// validator before selection, the regalloc replay after allocation, and
-/// the protocol lint after emission, per function. The first violation
-/// aborts compilation with [`PipelineError::Verify`].
-pub fn compile_module_verified(
-    module: &Module,
-    machine: Machine,
-    base_opts: BaseOptions,
-    br_opts: BrOptions,
-) -> Result<CompiledModule, PipelineError> {
-    let mut gate = check_stage;
-    br_codegen::compile_module_with(module, machine, base_opts, br_opts, &mut gate).map_err(
-        |e| match e {
-            GatedError::Codegen(c) => PipelineError::Codegen(c),
-            GatedError::Gate(v) => PipelineError::Verify(v),
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use br_codegen::{compile_module_with, BaseOptions, BrOptions};
+    use br_isa::Machine;
 
     /// The full workload suite compiles cleanly through all three
     /// checkers on both machines — the headline acceptance property.
@@ -356,13 +317,14 @@ mod tests {
             let module = br_frontend::compile(&w.source)
                 .unwrap_or_else(|e| panic!("{}: frontend: {e}", w.name));
             for machine in [Machine::Baseline, Machine::BranchReg] {
-                compile_module_verified(
+                compile_module_with(
                     &module,
                     machine,
                     BaseOptions::default(),
                     BrOptions::default(),
+                    &check_stage,
                 )
-                .unwrap_or_else(|e| panic!("{} on {machine:?}: {e}", w.name));
+                .unwrap_or_else(|e| panic!("{} on {machine:?}: {e:?}", w.name));
             }
         }
     }
@@ -389,13 +351,14 @@ mod tests {
             let module = br_frontend::compile(&w.source)
                 .unwrap_or_else(|e| panic!("{}: frontend: {e}", w.name));
             for opts in &variants {
-                compile_module_verified(
+                compile_module_with(
                     &module,
                     Machine::BranchReg,
                     BaseOptions::default(),
                     *opts,
+                    &check_stage,
                 )
-                .unwrap_or_else(|e| panic!("{} with {opts:?}: {e}", w.name));
+                .unwrap_or_else(|e| panic!("{} with {opts:?}: {e:?}", w.name));
             }
         }
     }

@@ -202,8 +202,8 @@ pub fn validate_module(
     let gate = |_: br_codegen::Stage<'_>| Ok::<(), std::convert::Infallible>(());
     let mut report = TvModuleReport::default();
     for i in 0..batch_a.len() {
-        let (af_a, _) = batch_a.compile_func(i, &gate).map_err(flatten)?;
-        let (af_b, _) = batch_b.compile_func(i, &gate).map_err(flatten)?;
+        let (af_a, ..) = batch_a.compile_func(i, &gate).map_err(flatten)?;
+        let (af_b, ..) = batch_b.compile_func(i, &gate).map_err(flatten)?;
         let name = geoms_a[i].name.clone();
         debug_assert_eq!(name, geoms_b[i].name);
         let (func, params) = &sig_of[name.as_str()];

@@ -45,8 +45,8 @@ fn tampered_emission_is_caught() {
     let geoms_a = batch_a.frame_geom();
     let geoms_b = batch_b.frame_geom();
     let gate = |_: br_codegen::Stage<'_>| Ok::<(), std::convert::Infallible>(());
-    let (af_a, _) = batch_a.compile_func(0, &gate).unwrap();
-    let (mut af_b, _) = batch_b.compile_func(0, &gate).unwrap();
+    let (af_a, ..) = batch_a.compile_func(0, &gate).unwrap();
+    let (mut af_b, ..) = batch_b.compile_func(0, &gate).unwrap();
 
     // Flip one ALU immediate in the BR stream: `a + 3` becomes `a + 4`.
     let mut tampered = false;

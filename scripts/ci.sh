@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # CI entry point: tier-1 verification plus a fixed-seed torture smoke
 # run. Everything is offline and deterministic; a clean exit means the
-# build, the lint gate, the full test suite, a 200-iteration
-# differential fuzz run (interpreter vs baseline machine vs
+# build, the lint gate, the rustdoc link check, the full test suite, a
+# 200-iteration differential fuzz run (interpreter vs baseline machine vs
 # branch-register machine, with the br-verify stage gates and the
 # static translation-validation oracle enabled), a 500-seed
 # execution-tier differential (interp vs threaded vs traced must be
@@ -25,6 +25,9 @@ cargo build --release
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> rustdoc link check (cargo doc, warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo test -q --workspace (tier-1 and every member crate)"
 cargo test -q --workspace

@@ -128,7 +128,7 @@ fn print_meas(label: &str, m: &br_core::Measurements) {
     );
 }
 
-/// Compile (metered) and run one machine under the br-obs profiler,
+/// Compile (with stage metrics) and run one machine under the br-obs profiler,
 /// appending the profile rows to `report`.
 fn profiled_run(
     exp: &Experiment,
@@ -140,24 +140,17 @@ fn profiled_run(
         .compile_module_metered(module, machine)
         .map_err(|e| e.to_string())?;
     let mut hook = br_obs::ProfileHook::new(&prog);
-    let mut emu = br_emu::Emulator::new(&prog);
-    let exit = emu
-        .run_with_hook(exp.fuel, &mut hook)
+    let run = exp
+        .run_program(&prog, stats, Some(&mut hook))
         .map_err(|e| e.to_string())?;
-    let meas = emu.measurements().clone();
-    report.programs.push(hook.finish("input", &meas));
+    report.programs.push(hook.finish("input", &run.meas));
     report.compiles.push(br_obs::CompileProfile {
         name: "input".to_string(),
         machine,
         metrics,
         stats,
     });
-    Ok(br_core::RunResult {
-        exit,
-        meas,
-        stats,
-        static_insts: prog.static_inst_count(),
-    })
+    Ok(run)
 }
 
 fn real_main() -> Result<(), String> {
@@ -199,7 +192,7 @@ fn real_main() -> Result<(), String> {
         return Ok(());
     }
 
-    // With --profile, runs go through the metered compile pipeline and the
+    // With --profile, runs keep their compile metrics and go through the
     // br-obs ProfileHook; the counts printed below are byte-identical to
     // the unprofiled path (see tests/profile_equivalence.rs).
     let mut report = args.profile.as_ref().map(|_| br_obs::Report::default());

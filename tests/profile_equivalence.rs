@@ -178,28 +178,44 @@ fn suite_measurements_identical_under_profiling() {
     }
 }
 
-/// The metered compile pipeline must emit the same binary as the plain
-/// one — metering reads the clock, never the program.
+/// The metered compile must emit the same binary as the plain one —
+/// metering reads the clock, never the program — with the verify gates
+/// off (the release and `br-serve` default) and on, at every jobs level,
+/// and the allocator counters must not depend on the jobs level.
 #[test]
 fn metered_compile_is_byte_identical() {
-    let exp = Experiment::new();
-    for w in suite(Scale::Test).into_iter().take(6) {
-        let module = br_frontend::compile(&w.source).expect("frontend");
-        for machine in [Machine::Baseline, Machine::BranchReg] {
-            let (plain, plain_stats) = exp
-                .compile_module_for(&module, machine)
-                .unwrap_or_else(|e| panic!("{} on {machine}: {e}", w.name));
-            let (metered, metered_stats, metrics) = exp
-                .compile_module_metered(&module, machine)
-                .unwrap_or_else(|e| panic!("{} metered on {machine}: {e}", w.name));
-            assert_eq!(plain.code, metered.code, "{} code on {machine}", w.name);
-            assert_eq!(plain_stats, metered_stats, "{} stats on {machine}", w.name);
-            assert_eq!(
-                metrics.funcs,
-                module.functions.len(),
-                "{} metered every function on {machine}",
-                w.name
-            );
+    for verify in [false, true] {
+        for w in suite(Scale::Test).into_iter().take(6) {
+            let module = br_frontend::compile(&w.source).expect("frontend");
+            for machine in [Machine::Baseline, Machine::BranchReg] {
+                let mut serial = None;
+                for jobs in [1, 4] {
+                    let exp = Experiment {
+                        verify,
+                        jobs,
+                        ..Experiment::new()
+                    };
+                    let ctx = format!("{} on {machine} (verify={verify}, jobs={jobs})", w.name);
+                    let (plain, plain_stats) = exp
+                        .compile_module_for(&module, machine)
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    let (metered, metered_stats, metrics) = exp
+                        .compile_module_metered(&module, machine)
+                        .unwrap_or_else(|e| panic!("{ctx} metered: {e}"));
+                    assert_eq!(plain.code, metered.code, "code: {ctx}");
+                    assert_eq!(plain_stats, metered_stats, "stats: {ctx}");
+                    assert_eq!(
+                        metrics.funcs,
+                        module.functions.len(),
+                        "metered every function: {ctx}"
+                    );
+                    let (code, spills, funcs) =
+                        serial.get_or_insert((metered.code.clone(), metrics.spills, metrics.funcs));
+                    assert_eq!(*code, metered.code, "code vs jobs=1: {ctx}");
+                    assert_eq!(*spills, metrics.spills, "spills vs jobs=1: {ctx}");
+                    assert_eq!(*funcs, metrics.funcs, "funcs vs jobs=1: {ctx}");
+                }
+            }
         }
     }
 }
