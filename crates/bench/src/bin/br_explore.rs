@@ -5,8 +5,6 @@
 //! ```text
 //! br-explore            [--paper] [--jobs N] [--tier T] [--pareto FILE]
 //! br-explore --section9 [--paper] [--jobs N] [--tier T]
-//! br-explore --bench    [--paper] [--jobs N] [--out FILE] [--record seed|current]
-//!                       [--check RATIO]
 //! br-explore --smoke    [--jobs N]
 //! ```
 //!
@@ -25,22 +23,21 @@
 //! every pipeline depth by `br_pipeline::depth_sweep` over the recorded
 //! measurements — byte-identical to live-hook runs (pinned by
 //! `crates/torture/tests/replay_properties.rs` and re-checked here by
-//! `--smoke`/`--bench`). Compiled artifacts are shared between
+//! `--smoke`). Compiled artifacts are shared between
 //! configurations with identical compiler settings through a
 //! content-hash keyed store (the br-serve cache's keying discipline).
 //!
 //! `--section9` reproduces the legacy `results/br_sweep.txt` report
-//! (experiment E10) from the same machinery. `--bench` times the naive
-//! N-live-hook-emulations baseline against record+replay on a
-//! 28-geometry matrix, verifies the stats are identical, and maintains
-//! the `BENCH_explore.json` tracker (`--check` gates the speedup).
+//! (experiment E10) from the same machinery. `--smoke` times the naive
+//! one-live-hook-emulation-per-point sweep against record+replay on a
+//! 6-geometry matrix and exits nonzero unless the stats are identical.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::rc::Rc;
 use std::time::Instant;
 
-use br_bench::{extract_object, human, pct, scan_number};
+use br_bench::{human, pct};
 use br_core::{
     parallel, replay, suite, BrOptions, CacheConfig, CacheStats, Experiment, Machine, Program,
     Scale,
@@ -90,40 +87,22 @@ fn geom_cfg(g: &Geom, bregs: u8) -> CacheConfig {
     }
 }
 
-/// The `--bench`/`--smoke` geometry matrix: 24 enabled-prefetch
-/// geometries (4 set counts × 3 associativities × 2 line sizes) plus 4
-/// prefetch-off points — 28 cache configurations per full run.
-fn bench_geoms(smoke: bool) -> Vec<(String, CacheConfig)> {
+/// The `--smoke` geometry matrix: 16 sets × 3 associativities × 2 line
+/// sizes, prefetch on.
+fn smoke_geoms() -> Vec<(String, CacheConfig)> {
     let mut v = Vec::new();
-    for &sets in &[16usize, 32, 64, 128] {
-        for &assoc in &[1usize, 2, 4] {
-            for &line_words in &[4usize, 8] {
-                v.push((
-                    format!("{sets}x{assoc}x{line_words}w"),
-                    CacheConfig {
-                        sets,
-                        assoc,
-                        line_words,
-                        ..CacheConfig::for_bregs(8)
-                    },
-                ));
-            }
+    for &assoc in &[1usize, 2, 4] {
+        for &line_words in &[4usize, 8] {
+            v.push((
+                format!("16x{assoc}x{line_words}w"),
+                CacheConfig {
+                    sets: 16,
+                    assoc,
+                    line_words,
+                    ..CacheConfig::for_bregs(8)
+                },
+            ));
         }
-    }
-    for &(sets, assoc, line_words) in &[(64, 2, 4), (128, 1, 4), (32, 4, 8), (64, 2, 8)] {
-        v.push((
-            format!("{sets}x{assoc}x{line_words}w-nopf"),
-            CacheConfig {
-                sets,
-                assoc,
-                line_words,
-                prefetch: false,
-                ..CacheConfig::for_bregs(8)
-            },
-        ));
-    }
-    if smoke {
-        v.truncate(6);
     }
     v
 }
@@ -133,12 +112,8 @@ struct Args {
     jobs: usize,
     tier: ExecTier,
     section9: bool,
-    bench: bool,
     smoke: bool,
     pareto: Option<String>,
-    out: Option<String>,
-    record: String,
-    check: Option<f64>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -147,12 +122,8 @@ fn parse_args() -> Result<Args, String> {
         jobs: 0,
         tier: ExecTier::default(),
         section9: false,
-        bench: false,
         smoke: false,
         pareto: None,
-        out: None,
-        record: "current".into(),
-        check: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -170,18 +141,8 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or_else(|| format!("unknown tier `{name}`"))?;
             }
             "--section9" => args.section9 = true,
-            "--bench" => args.bench = true,
             "--smoke" => args.smoke = true,
             "--pareto" => args.pareto = Some(it.next().ok_or("--pareto needs a path")?),
-            "--out" => args.out = Some(it.next().ok_or("--out needs a path")?),
-            "--record" => args.record = it.next().ok_or("--record needs seed|current")?,
-            "--check" => {
-                args.check = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--check needs a ratio")?,
-                )
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -205,10 +166,10 @@ fn mix(mut x: u64) -> u64 {
 }
 
 /// Lower the MiniC suite (and, for the design-space sweep, the
-/// translated RV32I workloads) into IR modules. `--section9` and the
-/// `--bench`/`--smoke` modes keep `include_rv32` off: the legacy
-/// `br_sweep.txt` report and the recorded bench baselines predate the
-/// translator and stay byte-comparable.
+/// translated RV32I workloads) into IR modules. `--section9` keeps
+/// `include_rv32` off so the legacy `br_sweep.txt` report, which
+/// predates the translator, stays byte-comparable; `--smoke` checks the
+/// MiniC suite only.
 fn lower_suite(scale: Scale, include_rv32: bool) -> Result<Suite, String> {
     let mut names = Vec::new();
     let mut modules = Vec::new();
@@ -240,7 +201,7 @@ fn lower_suite(scale: Scale, include_rv32: bool) -> Result<Suite, String> {
 /// fingerprints ⊕ the suite's module fingerprints. Sweep configurations
 /// that share compiler settings share one compile (the Section 9
 /// ablation list and the breg sweep overlap at the paper
-/// configuration, and `--bench` shares everything between its two
+/// configuration, and `--smoke` shares everything between its two
 /// passes).
 #[derive(Default)]
 struct ArtifactStore {
@@ -761,26 +722,14 @@ fn run_section9(args: &Args) -> Result<bool, String> {
 }
 
 // ---------------------------------------------------------------------
-// --bench / --smoke: naive live-hook matrix vs record+replay, with
-// byte-identity verification
+// --smoke: naive live-hook matrix vs record+replay, with byte-identity
+// verification
 // ---------------------------------------------------------------------
 
-fn root_path(name: &str) -> String {
-    format!("{}/../../{name}", env!("CARGO_MANIFEST_DIR"))
-}
-
-fn now_unix() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
-fn run_bench(args: &Args) -> Result<bool, String> {
-    let smoke = args.smoke;
+fn run_smoke(args: &Args) -> Result<bool, String> {
     let su = lower_suite(args.scale, false)?;
     let mut store = ArtifactStore::default();
-    let geoms = bench_geoms(smoke);
+    let geoms = smoke_geoms();
     // Both passes share one compiled artifact set (paper BR config).
     let exp = Experiment {
         tier: args.tier,
@@ -791,8 +740,7 @@ fn run_bench(args: &Args) -> Result<bool, String> {
 
     let depths = DEPTHS.count();
     println!(
-        "br-explore {} ({:?} scale): {} cache geometries x {} depths = {} design points, {} programs",
-        if smoke { "smoke" } else { "bench" },
+        "br-explore smoke ({:?} scale): {} cache geometries x {} depths = {} design points, {} programs",
         args.scale,
         geoms.len(),
         depths,
@@ -803,8 +751,8 @@ fn run_bench(args: &Args) -> Result<bool, String> {
     // Naive: one live-hook emulation per *design point* — what a sweep
     // script over the status-quo per-run API does: run_with_cache for
     // the point's geometry, then price the point's pipeline depth from
-    // that run's measurements. It stays on the interp tier, the tier
-    // `BENCH_explore.json`'s recorded speedup was measured against.
+    // that run's measurements. It stays on the interp tier, so the
+    // smoke compares the reference loop against the recording tier.
     let t_naive = Instant::now();
     let mut naive = Vec::with_capacity(cfgs.len());
     for cfg in &cfgs {
@@ -880,90 +828,7 @@ fn run_bench(args: &Args) -> Result<bool, String> {
         human(out.trace_words)
     );
 
-    if !smoke || args.out.is_some() {
-        write_bench_tracker(args, &su, geoms.len(), naive_s, replay_s, speedup, &out, identical)?;
-    }
-
-    let mut ok = identical;
-    if let Some(floor) = args.check {
-        if speedup < floor {
-            eprintln!("CHECK FAILED: speedup {speedup:.2}x below the {floor:.2}x floor");
-            ok = false;
-        } else {
-            println!("check OK: speedup {speedup:.2}x >= {floor:.2}x floor");
-        }
-    }
-    Ok(ok)
-}
-
-/// Merge the fresh measurement into `BENCH_explore.json`, preserving
-/// the section not being recorded (the perf-tracker discipline).
-#[allow(clippy::too_many_arguments)]
-fn write_bench_tracker(
-    args: &Args,
-    su: &Suite,
-    configs: usize,
-    naive_s: f64,
-    replay_s: f64,
-    speedup: f64,
-    out: &ReplayOutcome,
-    identical: bool,
-) -> Result<(), String> {
-    let points = configs * DEPTHS.count();
-    let section = format!(
-        "{{\n    \"unix_time\": {},\n    \"matrix_geometries\": {configs},\n    \
-         \"matrix_points\": {points},\n    \
-         \"naive_seconds\": {naive_s:.3},\n    \"record_replay_seconds\": {replay_s:.3},\n    \
-         \"speedup\": {speedup:.2},\n    \"stats_identical\": {},\n    \
-         \"suite_instructions\": {},\n    \"trace_words\": {}\n  }}",
-        now_unix(),
-        u64::from(identical),
-        out.meas.instructions,
-        out.trace_words
-    );
-    let out_path = args
-        .out
-        .clone()
-        .unwrap_or_else(|| root_path("BENCH_explore.json"));
-    let existing = std::fs::read_to_string(&out_path).unwrap_or_default();
-    let (seed, current) = if args.record == "seed" {
-        (section.clone(), section)
-    } else {
-        (
-            extract_object(&existing, "seed").unwrap_or_else(|| section.clone()),
-            section,
-        )
-    };
-
-    let mut body = format!(
-        "{{\n  \"schema\": \"br-explore-bench-v1\",\n  \"scale\": \"{:?}\",\n  \
-         \"suite_programs\": {},\n  \"naive_tier\": \"interp\",\n  \"record_tier\": \"{}\",\n",
-        args.scale,
-        su.names.len(),
-        args.tier.name()
-    );
-    body.push_str(&format!("  \"seed\": {seed},\n  \"current\": {current},\n"));
-    if let (Some(before), Some(after)) = (
-        scan_number(&seed, "speedup"),
-        scan_number(&current, "speedup"),
-    ) {
-        if before > 0.0 {
-            body.push_str(&format!(
-                "  \"speedup_vs_seed\": {:.2},\n",
-                after / before
-            ));
-        }
-    }
-    body.push_str(
-        "  \"note\": \"speedup = naive (one live ICacheSim hook emulation per cache \
-         configuration, the status-quo run_with_cache path, interp tier) over \
-         record+replay (one FetchTrace recording per program on the record tier, \
-         replayed through every configuration); replayed stats are byte-identical \
-         to the live hook's\"\n}\n",
-    );
-    std::fs::write(&out_path, &body).map_err(|e| format!("write {out_path}: {e}"))?;
-    println!("wrote {out_path}");
-    Ok(())
+    Ok(identical)
 }
 
 fn main() -> ExitCode {
@@ -976,8 +841,8 @@ fn main() -> ExitCode {
     };
     let result = if args.section9 {
         run_section9(&args)
-    } else if args.bench || args.smoke {
-        run_bench(&args)
+    } else if args.smoke {
+        run_smoke(&args)
     } else {
         run_sweep(&args)
     };

@@ -143,44 +143,6 @@ pub fn human_i64(v: i64) -> String {
     }
 }
 
-/// Extract the balanced-brace JSON object following `"<key>":` from one
-/// of the machine-written `BENCH_*.json` trackers (naive, but the files
-/// are written by the `perf` bin itself so the shape is known).
-pub fn extract_object(json: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let start = json.find(&pat)? + pat.len();
-    let rest = json[start..].trim_start();
-    if !rest.starts_with('{') {
-        return None;
-    }
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(rest[..=i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Pull a bare number out of a JSON section produced by the `perf` bin.
-pub fn scan_number(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let tail: String = obj[start..]
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    tail.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,19 +178,6 @@ mod tests {
         assert_eq!(scale_from(["bin", "--paper"]), Scale::Paper);
         assert_eq!(scale_from(["bin"]), Scale::Test);
         assert_eq!(scale_from(["bin", "--jobs", "4"]), Scale::Test);
-    }
-
-    #[test]
-    fn json_scraping_round_trips() {
-        let json = "{\n  \"seed\": {\n    \"a\": 12,\n    \"nested\": { \"b\": 3.5 }\n  },\n  \"current\": { \"a\": -7 }\n}";
-        let seed = extract_object(json, "seed").unwrap();
-        assert!(seed.starts_with('{') && seed.ends_with('}'));
-        assert_eq!(scan_number(&seed, "a"), Some(12.0));
-        assert_eq!(scan_number(&seed, "b"), Some(3.5));
-        let cur = extract_object(json, "current").unwrap();
-        assert_eq!(scan_number(&cur, "a"), Some(-7.0));
-        assert_eq!(extract_object(json, "missing"), None);
-        assert_eq!(scan_number(&seed, "missing"), None);
     }
 
     #[test]

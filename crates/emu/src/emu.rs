@@ -115,7 +115,7 @@ impl ExecTier {
     /// All tiers, in escalation order.
     pub const ALL: [ExecTier; 3] = [ExecTier::Interp, ExecTier::Threaded, ExecTier::Traced];
 
-    /// Stable lowercase name (CLI flag value / bench JSON key prefix).
+    /// Stable lowercase name (CLI flag value / benchmark metric suffix).
     pub fn name(self) -> &'static str {
         match self {
             ExecTier::Interp => "interp",
@@ -149,6 +149,13 @@ impl fmt::Display for ExecTier {
 /// println!("exit={exit}, {} instructions", emu.measurements().instructions);
 /// # Ok::<(), br_emu::EmuError>(())
 /// ```
+///
+/// One emulator makes one run. An error (including
+/// [`EmuError::OutOfFuel`]) ends it: registers, memory, [`Emulator::pc`]
+/// and the measurements stay readable, but calling `run` again does not
+/// resume where the first call stopped: the loop keeps some state in
+/// locals (on the baseline machine, a pending delayed branch), and that
+/// state is lost.
 pub struct Emulator<'p> {
     pub(crate) prog: &'p Program,
     /// Predecoded text segment: one [`MInst`] per text word, built once
@@ -263,8 +270,7 @@ impl<'p> Emulator<'p> {
     }
 
     /// Select the execution engine for fault-free runs (default:
-    /// [`ExecTier::Traced`]). Tier state (predecoded operands, formed
-    /// traces) persists across `run` calls on the same emulator.
+    /// [`ExecTier::Traced`]).
     pub fn set_tier(&mut self, tier: ExecTier) {
         self.tier = tier;
     }
@@ -286,30 +292,6 @@ impl<'p> Emulator<'p> {
     /// report trace coverage.
     pub fn traced_insts(&self) -> u64 {
         self.trace_insts
-    }
-
-    /// Detach the warmed superblock cache so a fresh emulator for the
-    /// *same program* can adopt it via [`Emulator::set_trace_cache`]
-    /// and run at steady state from the first instruction. Returns
-    /// `None` when no traced-tier run has happened yet. Reuse changes
-    /// nothing observable: traces replay the interpreter's exact event
-    /// sequence whether formed this run or a previous one.
-    pub fn take_trace_cache(&mut self) -> Option<crate::trace::TraceCache> {
-        self.engine.take().map(|engine| crate::trace::TraceCache {
-            engine,
-            fingerprint: crate::trace::text_fingerprint(self.prog),
-        })
-    }
-
-    /// Adopt a cache detached by [`Emulator::take_trace_cache`].
-    /// Returns `false` (dropping the cache, keeping the emulator
-    /// untouched) when it was formed for different program text.
-    pub fn set_trace_cache(&mut self, cache: crate::trace::TraceCache) -> bool {
-        if cache.fingerprint != crate::trace::text_fingerprint(self.prog) {
-            return false;
-        }
-        self.engine = Some(cache.engine);
-        true
     }
 
     /// The collected dynamic measurements.

@@ -24,6 +24,5 @@ pub mod trace;
 
 pub use emu::{EmuError, Emulator, ExecTier, Fault};
 pub use fetch_trace::{FetchRecorder, FetchTrace, TraceEvent};
-pub use trace::TraceCache;
 pub use hooks::{ExecHook, NoHook, TraceHook, TRACE_HOOK_DEFAULT_CAP};
 pub use measure::{Measurements, MAX_DIST_BUCKET};

@@ -185,33 +185,6 @@ impl TraceEngine {
     }
 }
 
-/// A warmed superblock cache detached from its emulator, so a fresh run
-/// of the *same program* can start with every hot trace already formed
-/// instead of re-paying heat counting and formation (see
-/// [`Emulator::take_trace_cache`]). The cache is keyed to the program
-/// text: installing it into an emulator for different code is a no-op.
-pub struct TraceCache {
-    pub(crate) engine: Box<TraceEngine>,
-    pub(crate) fingerprint: u64,
-}
-
-/// FNV-1a over the encoded text (plus machine and length), identifying
-/// the code a [`TraceCache`] was formed for. Traces embed absolute pcs
-/// and predecoded operands, so reuse is only sound on identical text.
-pub(crate) fn text_fingerprint(prog: &br_isa::Program) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |w: u64| {
-        h ^= w;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(prog.machine as u64);
-    mix(prog.code.len() as u64);
-    for &w in &prog.code {
-        mix(w as u64);
-    }
-    h
-}
-
 #[inline]
 fn pc_of(idx: usize) -> u32 {
     abi::TEXT_BASE + ((idx as u32) << 2)

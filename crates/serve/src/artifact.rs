@@ -120,16 +120,22 @@ pub fn serialize(prog: &Program, stats: &CodegenStats) -> Vec<u8> {
         e.u32(v);
     }
 
-    let body = e.finish();
+    seal(&e.finish())
+}
+
+/// Frame a body as an artifact file: magic, checksum, body.
+fn seal(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + 8 + body.len());
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    out.extend_from_slice(&fnv1a(body).to_le_bytes());
+    out.extend_from_slice(body);
     out
 }
 
 /// Load an artifact, verifying magic and checksum, re-decoding the
-/// text segment from code words.
+/// text segment from code words. Counts read from the body reserve
+/// nothing up front: a checksum-valid body may still claim `u32::MAX`
+/// entries, and only reading them proves they are there.
 pub fn deserialize(bytes: &[u8]) -> Result<(Program, CodegenStats), ArtifactError> {
     if bytes.len() < 12 || &bytes[..4] != MAGIC {
         return Err(ArtifactError::BadMagic);
@@ -150,7 +156,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<(Program, CodegenStats), ArtifactErro
     let entry = d.u32()?;
 
     let ncode = d.u32()? as usize;
-    let mut code = Vec::with_capacity(ncode);
+    let mut code = Vec::new();
     for _ in 0..ncode {
         code.push(d.u32()?);
     }
@@ -161,7 +167,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<(Program, CodegenStats), ArtifactErro
             bitmap.len()
         )));
     }
-    let mut text = Vec::with_capacity(ncode);
+    let mut text = Vec::with_capacity(code.len());
     for (i, &w) in code.iter().enumerate() {
         if bitmap[i / 8] & (1 << (i % 8)) != 0 {
             text.push(TextWord::Data(w));
@@ -175,7 +181,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<(Program, CodegenStats), ArtifactErro
     let data = d.bytes()?.to_vec();
 
     let nsyms = d.u32()? as usize;
-    let mut symbols = std::collections::HashMap::with_capacity(nsyms);
+    let mut symbols = std::collections::HashMap::new();
     for _ in 0..nsyms {
         let name = d.str()?;
         let addr = d.u32()?;
@@ -183,7 +189,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<(Program, CodegenStats), ArtifactErro
     }
 
     let nblocks = d.u32()? as usize;
-    let mut blocks = Vec::with_capacity(nblocks);
+    let mut blocks = Vec::new();
     for _ in 0..nblocks {
         let word = d.u32()?;
         let func = d.str()?;
@@ -303,6 +309,30 @@ mod tests {
         let bytes = serialize(&prog, &stats);
         for cut in [0, 3, 4, 11, 12, bytes.len() / 2, bytes.len() - 1] {
             assert!(deserialize(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn huge_counts_are_malformed_not_an_allocation_abort() {
+        // Checksum-valid bodies that stop right after a count of
+        // u32::MAX code words, symbols, or block marks. The zeros before
+        // it are the earlier fields, left empty: code count, bitmap,
+        // data, symbol count.
+        for zeros in [0, 3, 4] {
+            let mut e = Enc::new();
+            e.u8(0);
+            e.u32(0);
+            for _ in 0..zeros {
+                e.u32(0);
+            }
+            e.u32(u32::MAX);
+            assert!(
+                matches!(
+                    deserialize(&seal(&e.finish())),
+                    Err(ArtifactError::Malformed(_))
+                ),
+                "count after {zeros} empty fields"
+            );
         }
     }
 

@@ -1,28 +1,18 @@
-//! br-load — client, load generator, smoke prober, and benchmark for
-//! the `br-serve` daemon.
+//! br-load — client, load generator, and smoke prober for the
+//! `br-serve` daemon.
 //!
 //! ```text
 //! br-load --addr HOST:PORT [--requests N] [--threads N] [--seed N]   # load run
 //! br-load --addr HOST:PORT --smoke [--chaos]                         # CI smoke
 //! br-load --addr HOST:PORT --shutdown                                # drain server
-//! br-load --bench [--requests N] [--threads N]                       # in-process bench
-//!         [--record seed|current] [--check RATIO] [--check-p99 FACTOR]
-//!         [--out PATH] [--baseline PATH]
 //! ```
 //!
-//! The load and bench modes drive Appendix I suite programs (Test
-//! scale) through `Run` requests on both machines, with the shared
-//! retry/backoff policy, and report requests/sec, p50/p99 latency, and
-//! the server's cache hit rate. `--bench` spawns an in-process server
-//! so the numbers do not depend on an external daemon, and maintains
-//! `BENCH_serve.json` in the br-bench seed/current tracker idiom:
-//! `--record` stamps a section, `--check RATIO` exits nonzero when
-//! throughput falls below `RATIO ×` the value recorded in the
-//! `--baseline` tracker (default: the repo-root `BENCH_serve.json`),
-//! mirroring the br-bench perf gate, and `--check-p99 FACTOR` exits
-//! nonzero when measured p99 latency climbs above `FACTOR ×` the
-//! recorded p99 (a generous ceiling — tail latency on a shared box is
-//! far noisier than throughput, so the factor should be loose).
+//! The load mode drives Appendix I suite programs (Test scale) through
+//! `Run` requests on both machines, with the shared retry/backoff
+//! policy, and reports requests/sec, p50/p99 latency, and the server's
+//! cache hit rate. A malformed flag value exits with status 2. Timed
+//! serving figures come from the repository benchmark's `serve_mixed`
+//! workload (`benchmark/README.md`).
 //!
 //! The smoke mode is the ci.sh end-to-end probe: it checks liveness,
 //! correctness of a differential run, typed error classification for a
@@ -30,10 +20,10 @@
 //! typed `Internal` response and the server keeps answering afterwards.
 
 use std::process::ExitCode;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 use br_serve::proto::{ErrorKind, Request, Response, RunSpec, ServerStats, Target};
-use br_serve::{request_with_retry, spawn, Client, RetryPolicy, ServeConfig};
+use br_serve::{request_with_retry, Client, RetryPolicy};
 use br_workloads::rng::Rng64;
 use br_workloads::{suite, Scale, Workload};
 
@@ -45,12 +35,13 @@ struct Args {
     smoke: bool,
     chaos: bool,
     shutdown: bool,
-    bench: bool,
-    record: String,
-    check: Option<f64>,
-    check_p99: Option<f64>,
-    out: String,
-    baseline: Option<String>,
+}
+
+fn parse<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("br-load: {flag} needs a value");
+        std::process::exit(2);
+    })
 }
 
 fn parse_args() -> Args {
@@ -62,29 +53,17 @@ fn parse_args() -> Args {
         smoke: false,
         chaos: false,
         shutdown: false,
-        bench: false,
-        record: "current".to_string(),
-        check: None,
-        check_p99: None,
-        out: "BENCH_serve.json".to_string(),
-        baseline: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => args.addr = it.next(),
-            "--requests" => args.requests = it.next().and_then(|v| v.parse().ok()).unwrap_or(200),
-            "--threads" => args.threads = it.next().and_then(|v| v.parse().ok()).unwrap_or(4),
-            "--seed" => args.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or(0x5eed),
+            "--addr" => args.addr = Some(parse(&mut it, "--addr")),
+            "--requests" => args.requests = parse(&mut it, "--requests"),
+            "--threads" => args.threads = parse(&mut it, "--threads"),
+            "--seed" => args.seed = parse(&mut it, "--seed"),
             "--smoke" => args.smoke = true,
             "--chaos" => args.chaos = true,
             "--shutdown" => args.shutdown = true,
-            "--bench" => args.bench = true,
-            "--record" => args.record = it.next().unwrap_or_else(|| "current".into()),
-            "--check" => args.check = it.next().and_then(|v| v.parse().ok()),
-            "--check-p99" => args.check_p99 = it.next().and_then(|v| v.parse().ok()),
-            "--out" => args.out = it.next().unwrap_or_else(|| "BENCH_serve.json".into()),
-            "--baseline" => args.baseline = it.next(),
             other => {
                 eprintln!("br-load: unknown flag {other}");
                 std::process::exit(2);
@@ -285,159 +264,13 @@ fn smoke(addr: &str, chaos: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-// ---------------------------------------------------------------- bench
-
-fn unix_time() -> u64 {
-    SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
-/// Merge a fresh section into the tracker JSON, preserving the section
-/// not being recorded (the br-bench perf.rs idiom).
-fn write_tracker(path: &str, section: &str, record: &str) {
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let (seed, current) = if record == "seed" {
-        (
-            Some(section.to_string()),
-            br_bench::extract_object(&existing, "current"),
-        )
-    } else {
-        (
-            br_bench::extract_object(&existing, "seed"),
-            Some(section.to_string()),
-        )
-    };
-    let mut body = String::from("{\n  \"schema\": \"br-serve-perf-v1\",\n");
-    if let Some(s) = &seed {
-        body.push_str(&format!("  \"seed\": {s},\n"));
-    }
-    if let Some(c) = &current {
-        body.push_str(&format!("  \"current\": {c},\n"));
-    }
-    if let (Some(s), Some(c)) = (&seed, &current) {
-        let s_rps = br_bench::scan_number(s, "requests_per_sec").unwrap_or(0.0);
-        let c_rps = br_bench::scan_number(c, "requests_per_sec").unwrap_or(0.0);
-        if s_rps > 0.0 {
-            body.push_str(&format!(
-                "  \"speedup_vs_seed\": {:.2},\n",
-                c_rps / s_rps
-            ));
-        }
-    }
-    body.push_str(
-        "  \"note\": \"suite Run requests (Test scale, both machines) against an \
-         in-process server, warm cache; latencies are per-request round trips\"\n}\n",
-    );
-    std::fs::write(path, body).expect("write tracker");
-}
-
-fn bench(args: &Args) -> ExitCode {
-    let cfg = ServeConfig {
-        workers: args.threads.max(1),
-        verify: false,
-        ..ServeConfig::default()
-    };
-    let handle = spawn(cfg).expect("spawn in-process server");
-    let addr = handle.addr.to_string();
-
-    // Warm pass: populate the artifact cache so the measured pass
-    // reflects steady-state serving, not first-compile costs.
-    let (_, warm_errors) = drive(&addr, suite(Scale::Test).len(), 1, args.seed);
-    if warm_errors != 0 {
-        eprintln!("br-load bench: {warm_errors} errors during warmup");
-        handle.stop();
-        handle.join();
-        return ExitCode::FAILURE;
-    }
-
-    let start = Instant::now();
-    let (lat, errors) = drive(&addr, args.requests, args.threads, args.seed);
-    let wall = start.elapsed();
-    let stats = fetch_stats(&addr).expect("server stats");
-    handle.stop();
-    handle.join();
-
-    if errors != 0 {
-        eprintln!("br-load bench: {errors} errors during measured pass");
-        return ExitCode::FAILURE;
-    }
-
-    let rps = lat.len() as f64 / wall.as_secs_f64();
-    let p50 = percentile(&lat, 0.50);
-    let p99 = percentile(&lat, 0.99);
-    let hit_pct = cache_hit_pct(&stats);
-
-    println!("br-serve bench ({} requests, {} threads)", lat.len(), args.threads);
-    println!("  throughput  : {rps:.0} requests/sec");
-    println!("  latency     : p50 {p50} us, p99 {p99} us");
-    println!("  cache       : {hit_pct:.1}% hit rate");
-    println!(
-        "  server      : {} ok, {} errors, {} panics",
-        stats.ok, stats.errors, stats.worker_panics
-    );
-
-    let section = format!(
-        "{{\n    \"unix_time\": {},\n    \"requests\": {},\n    \"threads\": {},\n    \
-         \"requests_per_sec\": {:.0},\n    \"p50_us\": {},\n    \"p99_us\": {},\n    \
-         \"cache_hit_pct\": {:.1}\n  }}",
-        unix_time(),
-        lat.len(),
-        args.threads,
-        rps,
-        p50,
-        p99,
-        hit_pct
-    );
-    write_tracker(&args.out, &section, &args.record);
-    println!("  tracker     : {} ({} section updated)", args.out, args.record);
-
-    if args.check.is_some() || args.check_p99.is_some() {
-        let baseline_path = args.baseline.clone().unwrap_or_else(|| "BENCH_serve.json".into());
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("--check needs a baseline at {baseline_path}: {e}"));
-        let current = br_bench::extract_object(&baseline, "current")
-            .expect("baseline tracker has a current section");
-        if let Some(ratio) = args.check {
-            let recorded = br_bench::scan_number(&current, "requests_per_sec")
-                .expect("baseline has current.requests_per_sec");
-            let floor = recorded * ratio;
-            println!(
-                "  check       : {rps:.0} req/sec vs floor {floor:.0} ({ratio} x recorded {recorded:.0})"
-            );
-            if rps < floor {
-                eprintln!("br-load bench: throughput regression (below {ratio} x recorded)");
-                return ExitCode::FAILURE;
-            }
-        }
-        if let Some(factor) = args.check_p99 {
-            let recorded = br_bench::scan_number(&current, "p99_us")
-                .expect("baseline has current.p99_us");
-            let ceiling = recorded * factor;
-            println!(
-                "  check-p99   : {p99} us vs ceiling {ceiling:.0} ({factor} x recorded {recorded:.0})"
-            );
-            if (p99 as f64) > ceiling {
-                eprintln!("br-load bench: p99 latency regression (above {factor} x recorded)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
-}
-
 // ----------------------------------------------------------------- main
 
 fn main() -> ExitCode {
     let args = parse_args();
 
-    if args.bench {
-        return bench(&args);
-    }
-
     let Some(addr) = args.addr.clone() else {
-        eprintln!("br-load: --addr required (or use --bench)");
+        eprintln!("br-load: --addr required");
         return ExitCode::FAILURE;
     };
 

@@ -32,6 +32,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use br_core::{Error, Experiment, Machine};
+use br_emu::NoHook;
 
 use crate::cache::{Cache, Origin};
 use crate::proto::{classify, ErrorKind, MachineReply, Request, Response, RunSpec, ServerStats, Target};
@@ -522,7 +523,9 @@ fn run_spec(shared: &Shared, spec: &RunSpec) -> Result<Vec<MachineReply>, Error>
     let deadline = Some(Instant::now() + Duration::from_millis(u64::from(budget_ms)));
 
     let exp = Experiment {
+        fuel,
         verify: cfg.verify,
+        tier: cfg.tier,
         ..Experiment::new()
     };
 
@@ -553,15 +556,14 @@ fn run_spec(shared: &Shared, spec: &RunSpec) -> Result<Vec<MachineReply>, Error>
             (Arc::new(compiled), Origin::Compiled)
         };
         let (prog, stats) = &*artifact;
-        let mut emu = br_emu::Emulator::new(prog).with_tier(cfg.tier);
-        let exit = emu.run(fuel)?;
+        let run = exp.run_program(prog, *stats, None::<&mut NoHook>)?;
         replies.push(MachineReply {
             target: target_for(machine),
-            exit,
-            static_insts: prog.static_inst_count() as u32,
+            exit: run.exit,
+            static_insts: run.static_insts as u32,
             cached: origin != Origin::Compiled,
-            stats: *stats,
-            meas: emu.measurements().clone(),
+            stats: run.stats,
+            meas: run.meas,
         });
     }
 

@@ -8,14 +8,17 @@
 # execution-tier differential (interp vs threaded vs traced must be
 # observationally identical), the RV32I conformance gate plus a
 # 500-seed foreign-ISA ingest differential (reference interpreter vs
-# both translated machines), the per-tier emulator perf gate, the
-# ISA-coverage gate
-# (br-prof --check-coverage), the br-tv translation-validation +
-# static-cost gate, a short run of every benchmark workload (its own
-# package, which nothing else here builds), and the byte-identical
-# golden regeneration all passed. See TORTURE.md for what the torture
-# harness checks, VERIFY.md for the per-stage static invariants, TV.md
-# for the whole-program layer, and INGEST.md for the foreign-ISA path.
+# both translated machines), the ISA-coverage gate (br-prof
+# --check-coverage), the br-tv translation-validation + static-cost
+# gate, the br-explore replay-vs-live smoke, the br-serve chaos smoke,
+# a short run of every benchmark workload (its own package, which
+# nothing else here builds), and the byte-identical golden
+# regeneration all passed. That benchmark run is the only perf step and
+# has no throughput floor: regressions are judged by running the
+# benchmark on a change and its parent under BENCHMARK.json's bounds.
+# See TORTURE.md for what the torture harness checks, VERIFY.md for the
+# per-stage static invariants, TV.md for the whole-program layer, and
+# INGEST.md for the foreign-ISA path.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -52,14 +55,6 @@ cargo test -q -p br-ingest --test conformance
 echo "==> RV32I ingest differential smoke (500 seeds: reference vs baseline vs branch-register)"
 cargo run --release -p br-torture -- --rv32 --seed 11 --iters 500 --jobs 4
 
-echo "==> emulator perf bench + per-tier regression gate (fail below 0.5x recorded)"
-cargo run --release -p br-bench --bin perf -- --reps 2 --out target/BENCH_emulator_ci.json \
-    --baseline BENCH_emulator.json --check 0.5
-
-echo "==> compile-throughput bench + regression gate (fail below 0.8x baseline)"
-cargo run --release -p br-bench --bin perf -- compile --paper --reps 3 \
-    --out target/BENCH_compiler_ci.json --check 0.8
-
 echo "==> ISA-coverage gate (every legal encoding of both machines executes)"
 cargo run --release -p br-obs --bin br-prof -- --jobs 4 --check-coverage
 
@@ -68,10 +63,6 @@ cargo run --release -p br-bench --bin br-tv -- --jobs 4 --check --out target/tv_
 
 echo "==> br-explore smoke (small matrix: replayed stats byte-identical to live hooks)"
 cargo run --release -p br-bench --bin br-explore -- --smoke --jobs 4
-
-echo "==> record/replay sweep bench + speedup gate (fail below 10x naive per-point emulation)"
-cargo run --release -p br-bench --bin br-explore -- --bench --jobs 4 \
-    --out target/BENCH_explore_ci.json --check 10
 
 echo "==> br-serve chaos smoke (real daemon, ephemeral port, panic isolation, graceful drain)"
 cargo build --release -p br-serve
@@ -94,12 +85,7 @@ serve_addr="$(cat "$port_file")"
 ./target/release/br-load --addr "$serve_addr" --shutdown
 wait "$serve_pid"
 
-echo "==> br-serve bench + regression gates (fail below 0.3x recorded throughput or above 10x recorded p99)"
-cargo run --release -p br-serve --bin br-load -- --bench --requests 200 --threads 4 \
-    --out target/BENCH_serve_ci.json --record current \
-    --baseline BENCH_serve.json --check 0.3 --check-p99 10
-
-echo "==> benchmark smoke (every workload for a few seconds; traced paper_suite checks all three tiers)"
+echo "==> benchmark smoke, the one perf step (every workload for a few seconds; traced paper_suite checks all three tiers)"
 for workload in paper_suite compile_fresh explore_sweep serve_mixed; do
     cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 3 --trace 0 > /dev/null

@@ -219,66 +219,3 @@ fn metered_compile_is_byte_identical() {
         }
     }
 }
-
-/// A warmed superblock cache adopted by a fresh emulator of the same
-/// program must change nothing observable — and a cache from different
-/// program text must be rejected.
-#[test]
-fn trace_cache_reuse_is_byte_identical() {
-    let exp = Experiment::new();
-    for w in suite(Scale::Test).into_iter().take(4) {
-        for machine in [Machine::Baseline, Machine::BranchReg] {
-            let (prog, _) = exp
-                .compile(&w.source, machine)
-                .unwrap_or_else(|e| panic!("{} on {machine}: {e}", w.name));
-
-            let mut cold = Emulator::new(&prog).with_tier(ExecTier::Traced);
-            let mut cold_hook = TraceHook::default();
-            let cold_exit = cold.run_with_hook(FUEL, &mut cold_hook).expect("cold run");
-            let cache = cold
-                .take_trace_cache()
-                .expect("traced run leaves a cache behind");
-
-            let mut warm = Emulator::new(&prog).with_tier(ExecTier::Traced);
-            assert!(
-                warm.set_trace_cache(cache),
-                "{} cache accepted for identical text on {machine}",
-                w.name
-            );
-            let mut warm_hook = TraceHook::default();
-            let warm_exit = warm.run_with_hook(FUEL, &mut warm_hook).expect("warm run");
-
-            assert_eq!(cold_exit, warm_exit, "{} exit on {machine}", w.name);
-            assert_eq!(
-                cold.measurements(),
-                warm.measurements(),
-                "{} measurements on {machine}",
-                w.name
-            );
-            assert_eq!(cold_hook.fetches, warm_hook.fetches, "{} fetches", w.name);
-            assert_eq!(cold_hook.retires, warm_hook.retires, "{} retires", w.name);
-            assert_eq!(cold_hook.stores, warm_hook.stores, "{} stores", w.name);
-            assert!(
-                warm.traced_insts() >= cold.traced_insts(),
-                "{} warm start must not lose trace coverage on {machine}",
-                w.name
-            );
-
-            // A cache formed for other text must be dropped untouched.
-            let other = match machine {
-                Machine::Baseline => Machine::BranchReg,
-                Machine::BranchReg => Machine::Baseline,
-            };
-            let (other_prog, _) = exp
-                .compile(&w.source, other)
-                .unwrap_or_else(|e| panic!("{} on {other}: {e}", w.name));
-            let cache = warm.take_trace_cache().expect("cache still present");
-            let mut wrong = Emulator::new(&other_prog).with_tier(ExecTier::Traced);
-            assert!(
-                !wrong.set_trace_cache(cache),
-                "{} cache rejected across machines",
-                w.name
-            );
-        }
-    }
-}

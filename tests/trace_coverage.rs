@@ -3,9 +3,8 @@
 //! (otherwise the tier silently degrades into the threaded loop plus
 //! dispatch overhead).
 //!
-//! The tight-loop per-tier throughput probe that used to live here as an
-//! `#[ignore]`d test is now `cargo run --release -p br-bench --bin perf
-//! -- micro`.
+//! Per-tier throughput is measured by the benchmark: `emu.mips.*` from
+//! `paper_suite --trace 1` (see `benchmark/README.md`).
 
 use br_core::{suite, Experiment, Machine, Scale};
 use br_emu::{Emulator, ExecTier};
