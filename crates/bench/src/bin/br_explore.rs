@@ -3,8 +3,8 @@
 //! a direct-mapped cache, or a 6-stage pipeline?
 //!
 //! ```text
-//! br-explore            [--paper] [--jobs N] [--tier T] [--pareto FILE]
-//! br-explore --section9 [--paper] [--jobs N] [--tier T]
+//! br-explore            [--paper] [--jobs N] [--pareto FILE]
+//! br-explore --section9 [--paper] [--jobs N]
 //! br-explore --smoke    [--jobs N]
 //! ```
 //!
@@ -18,19 +18,21 @@
 //!
 //! Instead of one emulation per configuration, each compiler
 //! configuration is executed **once** under a `FetchRecorder`
-//! (`br_emu::FetchTrace`, any execution tier); every cache geometry is
-//! then evaluated by `br_icache::replay` over the packed trace and
-//! every pipeline depth by `br_pipeline::depth_sweep` over the recorded
-//! measurements — byte-identical to live-hook runs (pinned by
+//! (`br_emu::FetchTrace`, on `Experiment`'s tier); every cache
+//! geometry is then evaluated by `br_icache::replay` over the packed
+//! trace and every pipeline depth by `br_pipeline::depth_sweep` over the
+//! recorded measurements — byte-identical to live-hook runs (pinned by
 //! `crates/torture/tests/replay_properties.rs` and re-checked here by
 //! `--smoke`). Compiled artifacts are shared between
 //! configurations with identical compiler settings through a
 //! content-hash keyed store (the br-serve cache's keying discipline).
 //!
 //! `--section9` reproduces the legacy `results/br_sweep.txt` report
-//! (experiment E10) from the same machinery. `--smoke` times the naive
-//! one-live-hook-emulation-per-point sweep against record+replay on a
-//! 6-geometry matrix and exits nonzero unless the stats are identical.
+//! (experiment E10) from the same machinery. `--smoke` checks
+//! record+replay on a 6-geometry matrix against one live-hook emulation
+//! of the suite per geometry on the reference interpreter, and exits 1
+//! unless every cache stat, measurement and per-depth cycle total is
+//! identical.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -39,15 +41,19 @@ use std::time::Instant;
 
 use br_bench::{human, pct};
 use br_core::{
-    parallel, replay, suite, BrOptions, CacheConfig, CacheStats, Experiment, Machine, Program,
-    Scale,
+    parallel, replay, suite, BrOptions, CacheConfig, CacheStats, CodegenStats, Experiment, Machine,
+    Program, Scale,
 };
-use br_emu::{Emulator, ExecTier, FetchTrace, Measurements};
+use br_emu::{ExecTier, FetchTrace, Measurements};
 use br_icache::ICacheSim;
 use br_obs::json;
 use br_pipeline::machine_cycles;
 
 const DEPTHS: std::ops::RangeInclusive<u32> = 2..=8;
+
+/// The tier `--smoke` runs its live reference side on: the interpreter
+/// the faster tiers are checked against.
+const REFERENCE_TIER: ExecTier = ExecTier::Interp;
 
 /// Branch-register file sizes swept by the default matrix. The ISA
 /// encodes branch registers in a 3-bit field, so 8 is the hard ceiling
@@ -110,7 +116,6 @@ fn smoke_geoms() -> Vec<(String, CacheConfig)> {
 struct Args {
     scale: Scale,
     jobs: usize,
-    tier: ExecTier,
     section9: bool,
     smoke: bool,
     pareto: Option<String>,
@@ -120,7 +125,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         scale: Scale::Test,
         jobs: 0,
-        tier: ExecTier::default(),
         section9: false,
         smoke: false,
         pareto: None,
@@ -134,11 +138,6 @@ fn parse_args() -> Result<Args, String> {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("--jobs needs a number")?
-            }
-            "--tier" => {
-                let name = it.next().ok_or("--tier needs interp|threaded|traced")?;
-                args.tier = ExecTier::from_name(&name)
-                    .ok_or_else(|| format!("unknown tier `{name}`"))?;
             }
             "--section9" => args.section9 = true,
             "--smoke" => args.smoke = true,
@@ -256,20 +255,19 @@ struct ReplayOutcome {
     trace_words: u64,
 }
 
-/// Record each program once on `tier`, replay its trace through every
-/// geometry, and fold suite totals in suite order.
+/// Record each program once with `exp`'s fuel and tier, replay its
+/// trace through every geometry, and fold suite totals in suite order.
 fn record_replay(
     progs: &[Program],
     names: &[&'static str],
     cfgs: &[CacheConfig],
-    fuel: u64,
-    tier: ExecTier,
+    exp: &Experiment,
     jobs: usize,
 ) -> Result<ReplayOutcome, String> {
     let idx: Vec<usize> = (0..progs.len()).collect();
     let rows = parallel::map_ordered(&idx, jobs, |_, &i| {
-        let (_, trace) =
-            FetchTrace::record(&progs[i], fuel, tier).map_err(|e| format!("{}: {e}", names[i]))?;
+        let (_, trace) = FetchTrace::record(&progs[i], exp.fuel, exp.tier)
+            .map_err(|e| format!("{}: {e}", names[i]))?;
         let stats = cfgs
             .iter()
             .map(|c| replay(*c, &trace).map_err(|e| format!("{}: {e}", names[i])))
@@ -292,24 +290,23 @@ fn record_replay(
     Ok(out)
 }
 
-/// The naive baseline: one full live-hook emulation of the suite for a
-/// single cache configuration (what `Experiment::run_with_cache` does,
-/// on the given tier).
+/// One live-hook emulation of the suite through `exp` for a single
+/// cache configuration (what `Experiment::run_with_cache` does). The
+/// artifact store keeps no codegen stats, and nothing here reads them.
 fn live_suite(
     progs: &[Program],
     names: &[&'static str],
     cfg: CacheConfig,
-    fuel: u64,
-    tier: ExecTier,
+    exp: &Experiment,
     jobs: usize,
 ) -> Result<(Measurements, CacheStats), String> {
     let idx: Vec<usize> = (0..progs.len()).collect();
     let rows = parallel::map_ordered(&idx, jobs, |_, &i| {
         let mut sim = ICacheSim::new(cfg);
-        let mut emu = Emulator::new(&progs[i]).with_tier(tier);
-        emu.run_with_hook(fuel, &mut sim)
+        let run = exp
+            .run_program_with(&progs[i], CodegenStats::default(), &mut sim)
             .map_err(|e| format!("{}: {e}", names[i]))?;
-        Ok::<_, String>((emu.measurements().clone(), *sim.stats()))
+        Ok::<_, String>((run.meas, *sim.stats()))
     });
     let mut meas = Measurements::new();
     let mut stats = CacheStats::default();
@@ -321,21 +318,20 @@ fn live_suite(
     Ok((meas, stats))
 }
 
-/// Plain functional suite totals (instructions, data refs) — the
-/// Section 9 report's quantities.
+/// Plain functional suite totals (instructions, data refs) through
+/// `exp` — the Section 9 report's quantities.
 fn suite_insts_refs(
     progs: &[Program],
     names: &[&'static str],
-    fuel: u64,
-    tier: ExecTier,
+    exp: &Experiment,
     jobs: usize,
 ) -> Result<(u64, u64), String> {
     let idx: Vec<usize> = (0..progs.len()).collect();
     let rows = parallel::map_ordered(&idx, jobs, |_, &i| {
-        let mut emu = Emulator::new(&progs[i]).with_tier(tier);
-        emu.run(fuel).map_err(|e| format!("{}: {e}", names[i]))?;
-        let m = emu.measurements();
-        Ok::<_, String>((m.instructions, m.data_refs))
+        let run = exp
+            .run_program(&progs[i], CodegenStats::default())
+            .map_err(|e| format!("{}: {e}", names[i]))?;
+        Ok::<_, String>((run.meas.instructions, run.meas.data_refs))
     });
     let mut insts = 0u64;
     let mut refs = 0u64;
@@ -402,20 +398,10 @@ fn run_sweep(args: &Args) -> Result<bool, String> {
 
     // Baseline machine reference: one recording, replayed through the
     // same geometries (its trace carries no prefetch events).
-    let base_exp = Experiment {
-        tier: args.tier,
-        ..Experiment::new()
-    };
+    let base_exp = Experiment::new();
     let base_progs = store.progs(&base_exp, Machine::Baseline, &su, args.jobs)?;
     let base_cfgs: Vec<CacheConfig> = SWEEP_GEOMS.iter().map(|g| geom_cfg(g, 8)).collect();
-    let base = record_replay(
-        &base_progs,
-        &su.names,
-        &base_cfgs,
-        base_exp.fuel,
-        args.tier,
-        args.jobs,
-    )?;
+    let base = record_replay(&base_progs, &su.names, &base_cfgs, &base_exp, args.jobs)?;
 
     // BR machine: one recording per register-file size.
     let mut outs: Vec<(u8, ReplayOutcome)> = Vec::new();
@@ -425,15 +411,11 @@ fn run_sweep(args: &Args) -> Result<bool, String> {
                 num_bregs: n,
                 ..Default::default()
             },
-            tier: args.tier,
             ..Experiment::new()
         };
         let progs = store.progs(&exp, Machine::BranchReg, &su, args.jobs)?;
         let cfgs: Vec<CacheConfig> = SWEEP_GEOMS.iter().map(|g| geom_cfg(g, n)).collect();
-        outs.push((
-            n,
-            record_replay(&progs, &su.names, &cfgs, exp.fuel, args.tier, args.jobs)?,
-        ));
+        outs.push((n, record_replay(&progs, &su.names, &cfgs, &exp, args.jobs)?));
     }
 
     // Expand to points: pipeline estimate + cache fetch stalls. The
@@ -632,14 +614,10 @@ fn run_section9(args: &Args) -> Result<bool, String> {
     let scale = args.scale;
     let su = lower_suite(scale, false)?;
     let mut store = ArtifactStore::default();
-    let fuel = Experiment::new().fuel;
 
-    let base_exp = Experiment {
-        tier: args.tier,
-        ..Experiment::new()
-    };
+    let base_exp = Experiment::new();
     let base_progs = store.progs(&base_exp, Machine::Baseline, &su, args.jobs)?;
-    let (base_insts, _) = suite_insts_refs(&base_progs, &su.names, fuel, args.tier, args.jobs)?;
+    let (base_insts, _) = suite_insts_refs(&base_progs, &su.names, &base_exp, args.jobs)?;
 
     println!("Section 9 branch-register-count sweep ({scale:?} scale)");
     println!("baseline machine: {} instructions", human(base_insts));
@@ -654,11 +632,10 @@ fn run_section9(args: &Args) -> Result<bool, String> {
                 num_bregs: n,
                 ..Default::default()
             },
-            tier: args.tier,
             ..Experiment::new()
         };
         let progs = store.progs(&exp, Machine::BranchReg, &su, args.jobs)?;
-        let (insts, refs) = suite_insts_refs(&progs, &su.names, fuel, args.tier, args.jobs)?;
+        let (insts, refs) = suite_insts_refs(&progs, &su.names, &exp, args.jobs)?;
         println!(
             "{:>7} {:>16} {:>16} {:>10}",
             n,
@@ -706,11 +683,10 @@ fn run_section9(args: &Args) -> Result<bool, String> {
     for (name, opts) in configs {
         let exp = Experiment {
             br_opts: opts,
-            tier: args.tier,
             ..Experiment::new()
         };
         let progs = store.progs(&exp, Machine::BranchReg, &su, args.jobs)?;
-        let (insts, _) = suite_insts_refs(&progs, &su.names, fuel, args.tier, args.jobs)?;
+        let (insts, _) = suite_insts_refs(&progs, &su.names, &exp, args.jobs)?;
         println!(
             "{:<38} {:>16} {:>10}",
             name,
@@ -722,19 +698,15 @@ fn run_section9(args: &Args) -> Result<bool, String> {
 }
 
 // ---------------------------------------------------------------------
-// --smoke: naive live-hook matrix vs record+replay, with byte-identity
-// verification
+// --smoke: record+replay checked against live hooks on the interpreter
 // ---------------------------------------------------------------------
 
 fn run_smoke(args: &Args) -> Result<bool, String> {
     let su = lower_suite(args.scale, false)?;
     let mut store = ArtifactStore::default();
     let geoms = smoke_geoms();
-    // Both passes share one compiled artifact set (paper BR config).
-    let exp = Experiment {
-        tier: args.tier,
-        ..Experiment::new()
-    };
+    // Both sides share one compiled artifact set (paper BR config).
+    let exp = Experiment::new();
     let progs = store.progs(&exp, Machine::BranchReg, &su, args.jobs)?;
     let cfgs: Vec<CacheConfig> = geoms.iter().map(|(_, c)| *c).collect();
 
@@ -748,32 +720,27 @@ fn run_smoke(args: &Args) -> Result<bool, String> {
         su.names.len()
     );
 
-    // Naive: one live-hook emulation per *design point* — what a sweep
-    // script over the status-quo per-run API does: run_with_cache for
-    // the point's geometry, then price the point's pipeline depth from
-    // that run's measurements. It stays on the interp tier, so the
-    // smoke compares the reference loop against the recording tier.
-    let t_naive = Instant::now();
-    let mut naive = Vec::with_capacity(cfgs.len());
+    // Live: one live-hook emulation of the suite per geometry on the
+    // reference tier, every depth priced from that run's measurements.
+    let live_exp = Experiment {
+        tier: REFERENCE_TIER,
+        ..Experiment::new()
+    };
+    let mut live = Vec::with_capacity(cfgs.len());
     for cfg in &cfgs {
-        let mut per_depth = Vec::with_capacity(depths);
-        let mut last = None;
-        for stages in DEPTHS {
-            let (meas, stats) =
-                live_suite(&progs, &su.names, *cfg, exp.fuel, ExecTier::Interp, args.jobs)?;
-            per_depth.push(machine_cycles(Machine::BranchReg, &meas, stages).total + stats.stall_cycles);
-            last = Some((meas, stats));
-        }
-        let (meas, stats) = last.expect("at least one depth");
-        naive.push((meas, stats, per_depth));
+        let (meas, stats) = live_suite(&progs, &su.names, *cfg, &live_exp, args.jobs)?;
+        let per_depth: Vec<u64> = DEPTHS
+            .map(|stages| {
+                machine_cycles(Machine::BranchReg, &meas, stages).total + stats.stall_cycles
+            })
+            .collect();
+        live.push((meas, stats, per_depth));
     }
-    let naive_s = t_naive.elapsed().as_secs_f64();
 
-    // Replay: record once per program (the recorder rides any tier;
-    // default traced), replay the packed trace once per geometry, and
-    // price every depth from the one recorded measurement set.
-    let t_replay = Instant::now();
-    let out = record_replay(&progs, &su.names, &cfgs, exp.fuel, args.tier, args.jobs)?;
+    // Replay: record once per program on the default tier, replay the
+    // packed trace once per geometry, and price every depth from the one
+    // recorded measurement set.
+    let out = record_replay(&progs, &su.names, &cfgs, &exp, args.jobs)?;
     let replay_points: Vec<Vec<u64>> = out
         .per_geom
         .iter()
@@ -784,28 +751,27 @@ fn run_smoke(args: &Args) -> Result<bool, String> {
                 .collect()
         })
         .collect();
-    let replay_s = t_replay.elapsed().as_secs_f64();
 
     // Byte-identity: every replayed stat and cycle total must equal the
     // live hook's, point for point.
     let mut mismatches = Vec::new();
     for (i, (label, _)) in geoms.iter().enumerate() {
-        if naive[i].1 != out.per_geom[i] {
+        if live[i].1 != out.per_geom[i] {
             mismatches.push(format!(
                 "{label}: live {:?} != replay {:?}",
-                naive[i].1, out.per_geom[i]
+                live[i].1, out.per_geom[i]
             ));
         }
-        if naive[i].0 != out.meas {
+        if live[i].0 != out.meas {
             mismatches.push(format!(
                 "{label}: measurements diverged between live and recorded runs"
             ));
         }
         for (d, stages) in DEPTHS.enumerate() {
-            if naive[i].2[d] != replay_points[i][d] {
+            if live[i].2[d] != replay_points[i][d] {
                 mismatches.push(format!(
                     "{label} stages {stages}: cycles {} != {}",
-                    naive[i].2[d], replay_points[i][d]
+                    live[i].2[d], replay_points[i][d]
                 ));
             }
         }
@@ -815,16 +781,14 @@ fn run_smoke(args: &Args) -> Result<bool, String> {
     }
     let identical = mismatches.is_empty();
 
-    let speedup = if replay_s > 0.0 { naive_s / replay_s } else { 0.0 };
     println!(
-        "naive: {naive_s:.3}s ({} live-hook emulations)  record+replay: {replay_s:.3}s \
-         ({} recordings, {} replays)",
-        cfgs.len() * depths,
+        "live: {} suite runs on the {REFERENCE_TIER} tier  record+replay: {} recordings, {} replays",
+        cfgs.len(),
         su.names.len(),
         cfgs.len()
     );
     println!(
-        "speedup: {speedup:.2}x  replayed stats identical: {identical}  trace: {} words",
+        "replayed stats identical: {identical}  trace: {} words",
         human(out.trace_words)
     );
 

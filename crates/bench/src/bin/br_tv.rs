@@ -25,12 +25,8 @@
 use std::process::ExitCode;
 
 use br_core::{parallel, pipeline, suite, Experiment, Machine, Scale};
-use br_emu::Emulator;
 use br_obs::{json, ProfileHook};
 use br_verify::tv;
-
-/// Fuel per profiled run — matches the experiment default.
-const FUEL: u64 = 4_000_000_000;
 
 /// Pipeline depths the cost model is checked at (the paper's range).
 const STAGES: std::ops::RangeInclusive<u32> = 2..=8;
@@ -123,6 +119,9 @@ struct ProgramResult {
     cost: Vec<(Machine, Vec<CostPoint>)>,
 }
 
+/// The static-vs-dynamic cost points of `module` on both machines: one
+/// profiled run per machine through `exp`, priced at every depth in
+/// [`STAGES`].
 fn cost_points(
     exp: &Experiment,
     name: &str,
@@ -130,18 +129,14 @@ fn cost_points(
 ) -> Result<Vec<(Machine, Vec<CostPoint>)>, String> {
     let mut out = Vec::new();
     for machine in [Machine::Baseline, Machine::BranchReg] {
-        let (prog, _) = exp
-            .compile_module_for(module, machine)
-            .map_err(|e| format!("{name} on {machine}: {e}"))?;
+        let at = |e: br_core::Error| format!("{name} on {machine}: {e}");
+        let (prog, stats) = exp.compile_module_for(module, machine).map_err(at)?;
         let mut hook = ProfileHook::new(&prog);
-        let mut emu = Emulator::new(&prog);
-        emu.run_with_hook(FUEL, &mut hook)
-            .map_err(|e| format!("{name} on {machine}: {e}"))?;
-        let meas = emu.measurements();
+        let run = exp.run_program_with(&prog, stats, &mut hook).map_err(at)?;
         let mut points = Vec::new();
         for stages in STAGES {
             let st = tv::static_cycles(&prog, hook.retired_counts(), stages);
-            let dy = pipeline::machine_cycles(machine, meas, stages);
+            let dy = pipeline::machine_cycles(machine, &run.meas, stages);
             points.push(CostPoint {
                 stages,
                 static_total: st.total.total,

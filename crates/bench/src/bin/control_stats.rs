@@ -8,13 +8,14 @@
 //! * additional instructions/data references come from saving and
 //!   restoring branch registers.
 
-use br_bench::{human, jobs_from_args, profile_from_args, scale_from_args};
+use br_bench::{human, jobs_from_args, scale_from_args};
 use br_core::Experiment;
 
 fn main() {
     let scale = scale_from_args();
-    let jobs = jobs_from_args();
-    let report = Experiment::new().run_suite_jobs(scale, jobs).expect("suite");
+    let report = Experiment::new()
+        .run_suite_jobs(scale, jobs_from_args())
+        .expect("suite");
     let (base, brm) = report.totals();
     let (base_stats, br_stats) = report.stats_totals();
 
@@ -84,9 +85,4 @@ fn main() {
         br_stats.hoisted_calcs
     );
     let _ = total_carriers;
-
-    if let Some(path) = profile_from_args() {
-        br_bench::write_suite_profile(&path, scale, jobs).expect("profile");
-        eprintln!("profile written to {path}");
-    }
 }

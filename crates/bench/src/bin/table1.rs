@@ -5,14 +5,13 @@
 //! fewer instructions** and made **2.0% more data references** (a 10:1
 //! ratio of instructions saved to references added).
 
-use br_bench::{human, jobs_from_args, pct, profile_from_args, scale_from_args};
+use br_bench::{human, jobs_from_args, pct, scale_from_args};
 use br_core::Experiment;
 
 fn main() {
     let scale = scale_from_args();
-    let jobs = jobs_from_args();
     let exp = Experiment::new();
-    let report = exp.run_suite_jobs(scale, jobs).expect("suite");
+    let report = exp.run_suite_jobs(scale, jobs_from_args()).expect("suite");
 
     println!("Table I — Dynamic Measurements from the Two Machines ({scale:?} scale)");
     println!();
@@ -113,9 +112,4 @@ fn main() {
         human(nrf),
         pct((nrf as f64 - brf as f64) / brf.max(1) as f64 * 100.0),
     );
-
-    if let Some(path) = profile_from_args() {
-        br_bench::write_suite_profile(&path, scale, jobs).expect("profile");
-        eprintln!("profile written to {path}");
-    }
 }

@@ -26,14 +26,19 @@ where
 }
 
 /// Parse the common `--jobs N` flag from the process arguments.
-/// Returns 0 ("auto": one worker per available core) when absent.
+/// Returns 0 ("auto": one worker per available core) when absent. A
+/// malformed or missing value prints `--jobs needs a number` and exits
+/// with status 2, as `br-explore` does.
 pub fn jobs_from_args() -> usize {
-    jobs_from(std::env::args())
+    jobs_from(std::env::args()).unwrap_or_else(|e| {
+        let bin = std::env::args().next().unwrap_or_default();
+        eprintln!("{}: {e}", bin.rsplit('/').next().unwrap_or(&bin));
+        std::process::exit(2)
+    })
 }
 
-/// Testable core of [`jobs_from_args`]. A malformed or missing value
-/// falls back to 0 (auto) rather than aborting a long bench run.
-pub fn jobs_from<I>(args: I) -> usize
+/// Testable core of [`jobs_from_args`].
+pub fn jobs_from<I>(args: I) -> Result<usize, String>
 where
     I: IntoIterator,
     I::Item: AsRef<str>,
@@ -44,75 +49,10 @@ where
             return it
                 .next()
                 .and_then(|v| v.as_ref().parse().ok())
-                .unwrap_or(0);
+                .ok_or_else(|| "--jobs needs a number".to_string());
         }
     }
-    0
-}
-
-/// Parse the common `--profile FILE` flag from the process arguments.
-/// When present, suite bins re-run the workloads under the br-obs
-/// profiler and write the JSON report to the given path.
-pub fn profile_from_args() -> Option<String> {
-    profile_from(std::env::args())
-}
-
-/// Testable core of [`profile_from_args`].
-pub fn profile_from<I>(args: I) -> Option<String>
-where
-    I: IntoIterator,
-    I::Item: AsRef<str>,
-{
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a.as_ref() == "--profile" {
-            return it.next().map(|v| v.as_ref().to_string());
-        }
-    }
-    None
-}
-
-/// Profile the Appendix I suite on both machines (compile metrics, a
-/// [`br_obs::ProfileHook`] per run) and write the JSON report to `path`.
-/// The report omits wall times, so its bytes are stable at any `jobs`.
-pub fn write_suite_profile(path: &str, scale: Scale, jobs: usize) -> Result<(), String> {
-    let exp = br_core::Experiment::new();
-    let modules: Vec<(String, br_ir::Module)> = br_core::suite(scale)
-        .into_iter()
-        .map(|w| {
-            let module = br_frontend::compile(&w.source)
-                .map_err(|e| format!("{}: frontend: {e}", w.name))?;
-            Ok((w.name.to_string(), module))
-        })
-        .collect::<Result<_, String>>()?;
-    let results = br_core::parallel::map_ordered(&modules, jobs, |_, (name, module)| {
-        let mut runs = Vec::new();
-        let mut compiles = Vec::new();
-        for machine in [br_core::Machine::Baseline, br_core::Machine::BranchReg] {
-            let (prog, stats, metrics) = exp
-                .compile_module_metered(module, machine)
-                .map_err(|e| format!("{name} on {machine}: {e}"))?;
-            let mut hook = br_obs::ProfileHook::new(&prog);
-            let run = exp
-                .run_program(&prog, stats, Some(&mut hook))
-                .map_err(|e| format!("{name} on {machine}: {e}"))?;
-            runs.push(hook.finish(name, &run.meas));
-            compiles.push(br_obs::CompileProfile {
-                name: name.to_string(),
-                machine,
-                metrics,
-                stats,
-            });
-        }
-        Ok::<_, String>((runs, compiles))
-    });
-    let mut report = br_obs::Report::default();
-    for r in results {
-        let (runs, compiles) = r?;
-        report.programs.extend(runs);
-        report.compiles.extend(compiles);
-    }
-    std::fs::write(path, report.to_json(10, false)).map_err(|e| format!("write {path}: {e}"))
+    Ok(0)
 }
 
 /// Render a ratio as a signed percentage string.
@@ -181,26 +121,13 @@ mod tests {
     }
 
     #[test]
-    fn profile_flag_parsing() {
-        assert_eq!(profile_from(["bin"]), None);
-        assert_eq!(
-            profile_from(["bin", "--profile", "out.json"]),
-            Some("out.json".to_string())
-        );
-        assert_eq!(profile_from(["bin", "--profile"]), None);
-        assert_eq!(
-            profile_from(["bin", "--paper", "--profile", "p.json", "--jobs", "2"]),
-            Some("p.json".to_string())
-        );
-    }
-
-    #[test]
     fn jobs_flag_parsing() {
-        assert_eq!(jobs_from(["bin"]), 0);
-        assert_eq!(jobs_from(["bin", "--jobs", "4"]), 4);
-        assert_eq!(jobs_from(["bin", "--paper", "--jobs", "1"]), 1);
-        // Malformed or missing value: auto, not abort.
-        assert_eq!(jobs_from(["bin", "--jobs", "lots"]), 0);
-        assert_eq!(jobs_from(["bin", "--jobs"]), 0);
+        assert_eq!(jobs_from(["bin"]), Ok(0));
+        assert_eq!(jobs_from(["bin", "--jobs", "4"]), Ok(4));
+        assert_eq!(jobs_from(["bin", "--paper", "--jobs", "1"]), Ok(1));
+        // A malformed or missing value is an error, not a silent "auto".
+        let err = Err("--jobs needs a number".to_string());
+        assert_eq!(jobs_from(["bin", "--jobs", "lots"]), err);
+        assert_eq!(jobs_from(["bin", "--jobs"]), err);
     }
 }

@@ -176,6 +176,18 @@ pub struct RunResult {
     pub static_insts: usize,
 }
 
+impl RunResult {
+    /// The result of `emu`'s finished run of `prog`.
+    fn of(prog: &Program, stats: CodegenStats, exit: i32, emu: &br_emu::Emulator<'_>) -> RunResult {
+        RunResult {
+            exit,
+            meas: emu.measurements().clone(),
+            stats,
+            static_insts: prog.static_inst_count(),
+        }
+    }
+}
+
 /// A program run on both machines.
 #[derive(Debug, Clone)]
 pub struct ProgramComparison {
@@ -209,7 +221,9 @@ pub struct Experiment {
     pub jobs: usize,
     /// Emulator execution tier for the experiment's runs. All tiers
     /// produce byte-identical [`br_emu::Measurements`] and differ only
-    /// in speed. Defaults to the fastest, `Traced`.
+    /// in speed. Defaults to the fastest, `Traced`. No binary or server
+    /// option selects a tier: code that needs another one, such as the
+    /// interpreter as a reference, sets it here.
     pub tier: br_emu::ExecTier,
 }
 
@@ -366,40 +380,42 @@ impl Experiment {
     /// Compile an already-lowered module and run it on one machine.
     fn run_module(&self, module: &br_ir::Module, machine: Machine) -> Result<RunResult, Error> {
         let (prog, stats) = self.compile_module_for(module, machine)?;
-        self.run_program(&prog, stats, None::<&mut br_emu::NoHook>)
+        self.run_program(&prog, stats)
     }
 
     /// The one run path: emulate `prog` on [`Experiment::tier`] with
-    /// [`Experiment::fuel`], reporting every fetch, prefetch and
-    /// retirement to `hook` when one is given. `stats` are `prog`'s
-    /// codegen statistics, carried into the result. It takes the program
-    /// rather than a module so that callers can size a hook from the
-    /// program first.
+    /// [`Experiment::fuel`]. `stats` are `prog`'s codegen statistics,
+    /// carried into the result. Not generic, so a hook-free run uses the
+    /// loops compiled inside br-emu behind `Emulator::run` rather than a
+    /// `run_with_hook::<NoHook>` instance in the caller's crate, which
+    /// made the benchmark's `paper_suite` about 2% slower (2-core Xeon
+    /// VM).
     ///
     /// # Errors
     ///
     /// Emulation errors.
-    pub fn run_program<H: br_emu::ExecHook + ?Sized>(
+    pub fn run_program(&self, prog: &Program, stats: CodegenStats) -> Result<RunResult, Error> {
+        let mut emu = br_emu::Emulator::new(prog).with_tier(self.tier);
+        let exit = emu.run(self.fuel)?;
+        Ok(RunResult::of(prog, stats, exit, &emu))
+    }
+
+    /// [`Experiment::run_program`], reporting every fetch, prefetch and
+    /// retirement to `hook`. It takes the program rather than a module
+    /// so that callers can size a hook from the program first.
+    ///
+    /// # Errors
+    ///
+    /// Emulation errors.
+    pub fn run_program_with<H: br_emu::ExecHook + ?Sized>(
         &self,
         prog: &Program,
         stats: CodegenStats,
-        hook: Option<&mut H>,
+        hook: &mut H,
     ) -> Result<RunResult, Error> {
         let mut emu = br_emu::Emulator::new(prog).with_tier(self.tier);
-        let exit = match hook {
-            Some(hook) => emu.run_with_hook(self.fuel, hook)?,
-            // `Emulator::run` uses the hook-free loops compiled inside
-            // br-emu. A `run_with_hook::<NoHook>` instance built in this
-            // crate made the benchmark's `paper_suite` about 2% slower
-            // (2-core Xeon VM).
-            None => emu.run(self.fuel)?,
-        };
-        Ok(RunResult {
-            exit,
-            meas: emu.measurements().clone(),
-            stats,
-            static_insts: prog.static_inst_count(),
-        })
+        let exit = emu.run_with_hook(self.fuel, hook)?;
+        Ok(RunResult::of(prog, stats, exit, &emu))
     }
 
     /// Compile and run with an instruction-cache simulator attached.
@@ -415,7 +431,7 @@ impl Experiment {
     ) -> Result<(RunResult, CacheStats), Error> {
         let (prog, stats) = self.compile(src, machine)?;
         let mut cache = ICacheSim::new(cfg);
-        let run = self.run_program(&prog, stats, Some(&mut cache))?;
+        let run = self.run_program_with(&prog, stats, &mut cache)?;
         Ok((run, *cache.stats()))
     }
 
@@ -431,33 +447,23 @@ impl Experiment {
         self.compare_machines(name, &module)
     }
 
-    /// Translate a foreign RV32I image into an IR module ready for
-    /// either machine's pipeline (see `br-ingest` and INGEST.md).
-    ///
-    /// # Errors
-    ///
-    /// [`CompileError::Ingest`] when the image is rejected (truncated,
-    /// bad entry, illegal or unsupported instruction words).
-    pub fn ingest_rv32(&self, prog: &br_ingest::Rv32Program) -> Result<br_ir::Module, Error> {
-        let module = br_ingest::translate(prog).map_err(CompileError::Ingest)?;
-        Ok(module)
-    }
-
-    /// Translate an RV32I image and run it on both machines, checking
-    /// that they agree (the translated analogue of [`run_comparison`]).
+    /// Translate an RV32I image (see `br-ingest` and INGEST.md) and run
+    /// it on both machines, checking that they agree (the translated
+    /// analogue of [`run_comparison`]).
     ///
     /// [`run_comparison`]: Experiment::run_comparison
     ///
     /// # Errors
     ///
-    /// Any ingest or pipeline error, or [`Error::Mismatch`] when the
-    /// machines disagree.
+    /// [`CompileError::Ingest`] when the image is rejected (truncated,
+    /// bad entry, illegal or unsupported instruction words), any other
+    /// pipeline error, or [`Error::Mismatch`] when the machines disagree.
     pub fn run_rv32_comparison(
         &self,
         name: &str,
         prog: &br_ingest::Rv32Program,
     ) -> Result<ProgramComparison, Error> {
-        let module = self.ingest_rv32(prog)?;
+        let module = br_ingest::translate(prog).map_err(CompileError::Ingest)?;
         self.compare_machines(name, &module)
     }
 
@@ -514,23 +520,13 @@ impl Experiment {
         Ok(SuiteReport { rows })
     }
 
-    /// Statically prove a program's two emissions equivalent
+    /// Statically prove a module's two emissions equivalent
     /// (translation validation; see `TV.md`).
     ///
     /// # Errors
     ///
-    /// Front-end or code-generation errors. Proof failures are *not*
-    /// errors — they come back as per-function findings in the report.
-    pub fn tv_validate(&self, src: &str) -> Result<br_verify::tv::TvModuleReport, Error> {
-        let module = br_frontend::compile(src)?;
-        self.tv_validate_module(&module)
-    }
-
-    /// [`tv_validate`](Self::tv_validate) for an already-lowered module.
-    ///
-    /// # Errors
-    ///
-    /// Code-generation errors.
+    /// Code-generation errors. Proof failures are *not* errors — they
+    /// come back as per-function findings in the report.
     pub fn tv_validate_module(
         &self,
         module: &br_ir::Module,
@@ -540,85 +536,6 @@ impl Experiment {
             self.base_opts,
             self.br_opts,
         )?)
-    }
-
-    /// Cross-check the static branch-cost model against a real emulated
-    /// run: compile `module` for `machine`, run it once collecting
-    /// per-word retire counts, and evaluate both the static model and
-    /// the dynamic `br-pipeline` estimate at pipeline depth `stages`.
-    ///
-    /// # Errors
-    ///
-    /// Compilation or emulation errors.
-    pub fn cost_check_module(
-        &self,
-        module: &br_ir::Module,
-        machine: Machine,
-        stages: u32,
-    ) -> Result<CostCheck, Error> {
-        let (prog, stats) = self.compile_module_for(module, machine)?;
-        let mut hook = RetireCounts::new(&prog);
-        let run = self.run_program(&prog, stats, Some(&mut hook))?;
-        let static_est = br_verify::tv::static_cycles(&prog, &hook.counts, stages);
-        let dynamic = pipeline::machine_cycles(machine, &run.meas, stages);
-        Ok(CostCheck {
-            machine,
-            stages,
-            static_est: static_est.total,
-            dynamic,
-        })
-    }
-}
-
-/// Minimal retire-count hook for the static-cost cross-check (the full
-/// [`br-obs` profiler] is not a `br-core` dependency).
-struct RetireCounts {
-    counts: Vec<u64>,
-}
-
-impl RetireCounts {
-    fn new(prog: &Program) -> RetireCounts {
-        RetireCounts {
-            counts: vec![0; prog.text.len()],
-        }
-    }
-}
-
-impl br_emu::ExecHook for RetireCounts {
-    fn retire(&mut self, pc: u32, _store: Option<(u32, i32)>) {
-        let w = ((pc - br_isa::abi::TEXT_BASE) >> 2) as usize;
-        if let Some(c) = self.counts.get_mut(w) {
-            *c += 1;
-        }
-    }
-}
-
-/// One static-vs-dynamic cycle cross-check.
-///
-/// On the baseline machine the static model is exact (`static_est ==
-/// dynamic`); on the branch-register machine it is a sound upper bound
-/// (`static_est.total >= dynamic.total`), within the error band the
-/// `br-tv` gate pins.
-#[derive(Debug, Clone, Copy)]
-pub struct CostCheck {
-    /// Machine checked.
-    pub machine: Machine,
-    /// Pipeline depth.
-    pub stages: u32,
-    /// Static estimate from the machine code and retire counts.
-    pub static_est: pipeline::CycleEstimate,
-    /// Dynamic estimate from the emulator's measurements.
-    pub dynamic: pipeline::CycleEstimate,
-}
-
-impl CostCheck {
-    /// Relative slack of the static bound over the dynamic estimate
-    /// (0.0 = exact).
-    pub fn slack(&self) -> f64 {
-        if self.dynamic.total == 0 {
-            return 0.0;
-        }
-        self.static_est.total as f64 / self.dynamic.total as f64 - 1.0
     }
 }
 

@@ -115,18 +115,13 @@ impl ExecTier {
     /// All tiers, in escalation order.
     pub const ALL: [ExecTier; 3] = [ExecTier::Interp, ExecTier::Threaded, ExecTier::Traced];
 
-    /// Stable lowercase name (CLI flag value / benchmark metric suffix).
+    /// Stable lowercase name (benchmark metric suffix, torture report).
     pub fn name(self) -> &'static str {
         match self {
             ExecTier::Interp => "interp",
             ExecTier::Threaded => "threaded",
             ExecTier::Traced => "traced",
         }
-    }
-
-    /// Parse a [`ExecTier::name`] spelling.
-    pub fn from_name(s: &str) -> Option<ExecTier> {
-        ExecTier::ALL.into_iter().find(|t| t.name() == s)
     }
 }
 
@@ -271,11 +266,6 @@ impl<'p> Emulator<'p> {
 
     /// Select the execution engine for fault-free runs (default:
     /// [`ExecTier::Traced`]).
-    pub fn set_tier(&mut self, tier: ExecTier) {
-        self.tier = tier;
-    }
-
-    /// Builder-style [`Emulator::set_tier`].
     pub fn with_tier(mut self, tier: ExecTier) -> Emulator<'p> {
         self.tier = tier;
         self

@@ -6,7 +6,6 @@
 //! br-prof --paper --out p.json    # paper-scale report to a file
 //! br-prof --check-coverage        # ISA-coverage gate: exit 1 on gaps
 //! br-prof --times --jobs 8        # include per-stage compile wall times
-//! br-prof --tier traced           # profile on the traced execution tier
 //! ```
 //!
 //! The report is deterministic at any `--jobs` level: programs run in a
@@ -16,7 +15,7 @@
 use std::process::ExitCode;
 
 use br_core::{parallel, suite, Experiment, Machine, Scale};
-use br_obs::{CompileProfile, ProfileHook, ProgramProfile, Report};
+use br_obs::Report;
 
 struct Args {
     scale: Scale,
@@ -25,7 +24,6 @@ struct Args {
     times: bool,
     check_coverage: bool,
     out: Option<String>,
-    tier: br_emu::ExecTier,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -36,7 +34,6 @@ fn parse_args() -> Result<Args, String> {
         times: false,
         check_coverage: false,
         out: None,
-        tier: br_emu::ExecTier::default(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -53,15 +50,10 @@ fn parse_args() -> Result<Args, String> {
                 args.top = v.parse().map_err(|_| format!("bad --top value: {v}"))?;
             }
             "--out" => args.out = Some(it.next().ok_or("--out needs a value")?.to_string()),
-            "--tier" => {
-                let v = it.next().ok_or("--tier needs a value")?;
-                args.tier = br_emu::ExecTier::from_name(&v)
-                    .ok_or_else(|| format!("bad --tier value: {v} (interp|threaded|traced)"))?;
-            }
             "--help" | "-h" => {
                 return Err(
                     "usage: br-prof [--paper] [--jobs N] [--top N] [--times] \
-                     [--check-coverage] [--out FILE] [--tier interp|threaded|traced]"
+                     [--check-coverage] [--out FILE]"
                         .to_string(),
                 )
             }
@@ -93,41 +85,9 @@ fn corpus_sources() -> Vec<(String, String)> {
         .collect()
 }
 
-/// Profile one lowered module on both machines: compile with stage
-/// metrics, run under a [`ProfileHook`], and return the four
-/// profile rows (execution + compile, per machine).
-fn profile_one(
-    exp: &Experiment,
-    name: &str,
-    module: &br_ir::Module,
-) -> Result<(Vec<ProgramProfile>, Vec<CompileProfile>), String> {
-    let mut runs = Vec::new();
-    let mut compiles = Vec::new();
-    for machine in [Machine::Baseline, Machine::BranchReg] {
-        let (prog, stats, metrics) = exp
-            .compile_module_metered(module, machine)
-            .map_err(|e| format!("{name} on {machine}: {e}"))?;
-        let mut hook = ProfileHook::new(&prog);
-        let run = exp
-            .run_program(&prog, stats, Some(&mut hook))
-            .map_err(|e| format!("{name} on {machine}: {e}"))?;
-        runs.push(hook.finish(name, &run.meas));
-        compiles.push(CompileProfile {
-            name: name.to_string(),
-            machine,
-            metrics,
-            stats,
-        });
-    }
-    Ok((runs, compiles))
-}
-
 fn real_main() -> Result<bool, String> {
     let args = parse_args()?;
-    let exp = Experiment {
-        tier: args.tier,
-        ..Experiment::new()
-    };
+    let exp = Experiment::new();
 
     let mut sources: Vec<(String, String)> = suite(args.scale)
         .into_iter()
@@ -153,13 +113,18 @@ fn real_main() -> Result<bool, String> {
     }
 
     let results = parallel::map_ordered(&modules, args.jobs, |_, (name, module)| {
-        profile_one(&exp, name, module)
+        let mut part = Report::default();
+        for machine in [Machine::Baseline, Machine::BranchReg] {
+            part.profile(&exp, name, module, machine)
+                .map_err(|e| format!("{name} on {machine}: {e}"))?;
+        }
+        Ok::<_, String>(part)
     });
     let mut report = Report::default();
     for r in results {
-        let (runs, compiles) = r?;
-        report.programs.extend(runs);
-        report.compiles.extend(compiles);
+        let part = r?;
+        report.programs.extend(part.programs);
+        report.compiles.extend(part.compiles);
     }
 
     let json = report.to_json(args.top, args.times);

@@ -14,8 +14,8 @@
 //!   (the paper's Figure 10/11 formats), with a gate that fails when an
 //!   implemented encoding is never executed.
 //! * [`Report`] — a deterministic merge of per-program profiles plus
-//!   compiler per-stage metrics, serialized to stable JSON by
-//!   [`Report::to_json`].
+//!   compiler per-stage metrics, filled by [`Report::profile`] and
+//!   serialized to stable JSON by [`Report::to_json`].
 //!
 //! Zero cost when off: the hook rides the emulator's `run_with_hook`
 //! instrumented paths, and the hook-free fast path never sees any of
@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use br_core::CompileMetrics;
+use br_core::{CompileMetrics, Experiment, RunResult};
 use br_emu::{ExecHook, Measurements};
 use br_isa::{abi, decode, Machine, MInst, Program, TextWord};
 
@@ -524,6 +524,34 @@ pub struct Report {
 }
 
 impl Report {
+    /// Compile `module` for `machine` with stage metrics, run it under a
+    /// [`ProfileHook`] through [`Experiment`], and append its execution
+    /// and compile rows, both named `name`. This is the one profiled run
+    /// behind `br-prof` and `brcc --profile`; it returns the run itself.
+    ///
+    /// # Errors
+    ///
+    /// Compilation or emulation errors.
+    pub fn profile(
+        &mut self,
+        exp: &Experiment,
+        name: &str,
+        module: &br_ir::Module,
+        machine: Machine,
+    ) -> Result<RunResult, br_core::Error> {
+        let (prog, stats, metrics) = exp.compile_module_metered(module, machine)?;
+        let mut hook = ProfileHook::new(&prog);
+        let run = exp.run_program_with(&prog, stats, &mut hook)?;
+        self.programs.push(hook.finish(name, &run.meas));
+        self.compiles.push(CompileProfile {
+            name: name.to_string(),
+            machine,
+            metrics,
+            stats,
+        });
+        Ok(run)
+    }
+
     /// Merged coverage for `machine` across all profiled programs.
     pub fn coverage(&self, machine: Machine) -> Coverage {
         let mut cov = Coverage::new(machine);
@@ -691,7 +719,6 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use br_core::Experiment;
     use br_emu::Emulator;
 
     fn profile(src: &str, machine: Machine) -> (ProgramProfile, i32) {
@@ -791,16 +818,8 @@ mod tests {
         let exp = Experiment::new();
         let module = br_frontend::compile(LOOP).unwrap();
         for machine in [Machine::Baseline, Machine::BranchReg] {
-            let (p, _) = profile(LOOP, machine);
-            report.programs.push(p);
-            let (_, stats, metrics) =
-                exp.compile_module_metered(&module, machine).unwrap();
-            report.compiles.push(CompileProfile {
-                name: "t".to_string(),
-                machine,
-                metrics,
-                stats,
-            });
+            let run = report.profile(&exp, "t", &module, machine).unwrap();
+            assert_eq!(report.programs.last().unwrap().meas, run.meas);
         }
         let gaps = report.coverage_gaps();
         assert!(!gaps.is_empty(), "one tiny loop cannot cover the ISA");

@@ -5,7 +5,6 @@
 //!          [--cache-dir PATH] [--no-cache] [--chaos] [--verify]
 //!          [--default-fuel N] [--max-fuel N] [--compile-budget-ms N]
 //!          [--io-timeout-ms N] [--port-file PATH]
-//!          [--tier interp|threaded|traced]
 //! ```
 //!
 //! Binds (port 0 = ephemeral), optionally writes the resolved
@@ -27,7 +26,7 @@ fn usage() -> ! {
         "usage: br-serve [--addr HOST:PORT] [--workers N] [--queue-cap N] \
          [--cache-dir PATH] [--no-cache] [--chaos] [--verify] \
          [--default-fuel N] [--max-fuel N] [--compile-budget-ms N] \
-         [--io-timeout-ms N] [--port-file PATH] [--tier interp|threaded|traced]"
+         [--io-timeout-ms N] [--port-file PATH]"
     );
     std::process::exit(2);
 }
@@ -59,13 +58,6 @@ fn main() -> ExitCode {
             "--max-fuel" => cfg.max_fuel = parse(&mut it, "--max-fuel"),
             "--compile-budget-ms" => cfg.default_compile_budget_ms = parse(&mut it, "--compile-budget-ms"),
             "--io-timeout-ms" => cfg.io_timeout_ms = parse(&mut it, "--io-timeout-ms"),
-            "--tier" => {
-                let name: String = parse(&mut it, "--tier");
-                cfg.tier = br_emu::ExecTier::from_name(&name).unwrap_or_else(|| {
-                    eprintln!("br-serve: unknown tier `{name}` (interp|threaded|traced)");
-                    std::process::exit(2);
-                });
-            }
             "--port-file" => port_file = Some(parse(&mut it, "--port-file")),
             "--help" | "-h" => usage(),
             other => {

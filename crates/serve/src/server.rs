@@ -32,7 +32,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use br_core::{Error, Experiment, Machine};
-use br_emu::NoHook;
 
 use crate::cache::{Cache, Origin};
 use crate::proto::{classify, ErrorKind, MachineReply, Request, Response, RunSpec, ServerStats, Target};
@@ -65,10 +64,6 @@ pub struct ServeConfig {
     pub chaos: bool,
     /// Run br-verify stage gates during compilation.
     pub verify: bool,
-    /// Emulator execution tier for request runs. Measurements are
-    /// byte-identical across tiers; the default, `Traced`, is the
-    /// fastest.
-    pub tier: br_emu::ExecTier,
 }
 
 impl Default for ServeConfig {
@@ -85,7 +80,6 @@ impl Default for ServeConfig {
             cache_dir: None,
             chaos: false,
             verify: false,
-            tier: br_emu::ExecTier::default(),
         }
     }
 }
@@ -525,7 +519,6 @@ fn run_spec(shared: &Shared, spec: &RunSpec) -> Result<Vec<MachineReply>, Error>
     let exp = Experiment {
         fuel,
         verify: cfg.verify,
-        tier: cfg.tier,
         ..Experiment::new()
     };
 
@@ -556,7 +549,7 @@ fn run_spec(shared: &Shared, spec: &RunSpec) -> Result<Vec<MachineReply>, Error>
             (Arc::new(compiled), Origin::Compiled)
         };
         let (prog, stats) = &*artifact;
-        let run = exp.run_program(prog, *stats, None::<&mut NoHook>)?;
+        let run = exp.run_program(prog, *stats)?;
         replies.push(MachineReply {
             target: target_for(machine),
             exit: run.exit,
@@ -582,8 +575,8 @@ fn run_spec(shared: &Shared, spec: &RunSpec) -> Result<Vec<MachineReply>, Error>
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
+    /// `run_spec` runs on `Experiment::new()`'s tier, so this covers the
+    /// server's runs too.
     #[test]
     fn experiments_servers_and_emulators_start_on_the_traced_tier() {
         let exp = br_core::Experiment::new();
@@ -591,7 +584,6 @@ mod tests {
             .compile("int main() { return 0; }", br_isa::Machine::Baseline)
             .expect("compiles");
         let emu = br_emu::Emulator::new(&prog);
-        let tiers = [exp.tier, ServeConfig::default().tier, emu.tier()];
-        assert_eq!(tiers, [br_emu::ExecTier::Traced; 3]);
+        assert_eq!([exp.tier, emu.tier()], [br_emu::ExecTier::Traced; 2]);
     }
 }

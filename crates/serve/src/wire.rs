@@ -14,15 +14,19 @@ use std::io::{self, Read, Write};
 /// MiniC sources and measurement replies are all well under this.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Write one frame (length prefix + payload) and flush it.
+/// Write one frame (length prefix + payload) in one `write_all` and
+/// flush it. As two writes, on a socket without `TCP_NODELAY`, Nagle's
+/// algorithm would hold the payload back until the peer's delayed ACK.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
     if len > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -191,6 +195,28 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF between frames");
+    }
+
+    /// A `Write` that counts its `write` calls.
+    struct CountWrites(usize);
+
+    impl Write for CountWrites {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0 += 1;
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut w = CountWrites(0);
+        write_frame(&mut w, b"hello").unwrap();
+        write_frame(&mut w, b"").unwrap();
+        assert_eq!(w.0, 2, "one write per frame");
     }
 
     #[test]

@@ -128,31 +128,6 @@ fn print_meas(label: &str, m: &br_core::Measurements) {
     );
 }
 
-/// Compile (with stage metrics) and run one machine under the br-obs profiler,
-/// appending the profile rows to `report`.
-fn profiled_run(
-    exp: &Experiment,
-    module: &br_ir::Module,
-    machine: Machine,
-    report: &mut br_obs::Report,
-) -> Result<br_core::RunResult, String> {
-    let (prog, stats, metrics) = exp
-        .compile_module_metered(module, machine)
-        .map_err(|e| e.to_string())?;
-    let mut hook = br_obs::ProfileHook::new(&prog);
-    let run = exp
-        .run_program(&prog, stats, Some(&mut hook))
-        .map_err(|e| e.to_string())?;
-    report.programs.push(hook.finish("input", &run.meas));
-    report.compiles.push(br_obs::CompileProfile {
-        name: "input".to_string(),
-        machine,
-        metrics,
-        stats,
-    });
-    Ok(run)
-}
-
 fn real_main() -> Result<(), String> {
     let args = parse_args().inspect_err(|e| {
         if e.is_empty() {
@@ -201,8 +176,12 @@ fn real_main() -> Result<(), String> {
         let (base, brm) = match &mut report {
             Some(report) => {
                 let module = br_frontend::compile(&src).map_err(|e| e.to_string())?;
-                let base = profiled_run(&exp, &module, Machine::Baseline, report)?;
-                let brm = profiled_run(&exp, &module, Machine::BranchReg, report)?;
+                let base = report
+                    .profile(&exp, "input", &module, Machine::Baseline)
+                    .map_err(|e| e.to_string())?;
+                let brm = report
+                    .profile(&exp, "input", &module, Machine::BranchReg)
+                    .map_err(|e| e.to_string())?;
                 if base.exit != brm.exit {
                     return Err(format!(
                         "machines disagree: baseline exits {} but branch-register exits {}",
@@ -229,7 +208,9 @@ fn real_main() -> Result<(), String> {
         let run = match &mut report {
             Some(report) => {
                 let module = br_frontend::compile(&src).map_err(|e| e.to_string())?;
-                profiled_run(&exp, &module, args.machine, report)?
+                report
+                    .profile(&exp, "input", &module, args.machine)
+                    .map_err(|e| e.to_string())?
             }
             None => exp.run(&src, args.machine).map_err(|e| e.to_string())?,
         };
