@@ -21,6 +21,9 @@
 //!
 //! The JSON report is byte-deterministic: fixed program order, no
 //! wall-clock fields.
+//!
+//! Exit status: 0 on success (and for `--help`), 1 when the gate fails
+//! or a program cannot be compiled or run, 2 on a usage error.
 
 use std::process::ExitCode;
 
@@ -45,7 +48,10 @@ struct Args {
     out: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str = "usage: br-tv [--paper] [--jobs N] [--check] [--out FILE]";
+
+/// The command line; `Ok(None)` for `--help`.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         scale: Scale::Test,
         jobs: 1,
@@ -62,13 +68,11 @@ fn parse_args() -> Result<Args, String> {
                 args.jobs = v.parse().map_err(|_| format!("bad --jobs value: {v}"))?;
             }
             "--out" => args.out = Some(it.next().ok_or("--out needs a value")?),
-            "--help" | "-h" => {
-                return Err("usage: br-tv [--paper] [--jobs N] [--check] [--out FILE]".to_string())
-            }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 /// The torture regression corpus (`tests/corpus/*.c`), sorted by file
@@ -327,8 +331,7 @@ fn gate(results: &[ProgramResult]) -> Vec<String> {
     fails
 }
 
-fn real_main() -> Result<bool, String> {
-    let args = parse_args()?;
+fn real_main(args: Args) -> Result<bool, String> {
     let exp = Experiment::new();
 
     let mut inputs: Vec<(String, Pool, br_ir::Module)> = Vec::new();
@@ -380,7 +383,18 @@ fn real_main() -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
-    match real_main() {
+    let args = match parse_args() {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("br-tv: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match real_main(args) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {

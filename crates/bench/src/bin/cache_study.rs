@@ -2,7 +2,7 @@
 //! benefit, cache pollution, and the associativity / line-size / capacity
 //! sweep the paper lists as future work.
 
-use br_bench::{human, scale_from_args};
+use br_bench::{human, suite_args};
 use br_core::{suite, CacheConfig, Experiment, Machine};
 
 fn run_config(exp: &Experiment, machine: Machine, cfg: CacheConfig, scale: br_core::Scale) -> br_core::CacheStats {
@@ -27,7 +27,7 @@ fn run_config(exp: &Experiment, machine: Machine, cfg: CacheConfig, scale: br_co
 }
 
 fn main() {
-    let scale = scale_from_args();
+    let scale = suite_args().scale;
     let exp = Experiment::new();
 
     println!("Sections 8-9 instruction-cache study ({scale:?} scale)");

@@ -8,13 +8,14 @@
 //! * additional instructions/data references come from saving and
 //!   restoring branch registers.
 
-use br_bench::{human, jobs_from_args, scale_from_args};
+use br_bench::{human, suite_args};
 use br_core::Experiment;
 
 fn main() {
-    let scale = scale_from_args();
+    let args = suite_args();
+    let scale = args.scale;
     let report = Experiment::new()
-        .run_suite_jobs(scale, jobs_from_args())
+        .run_suite_jobs(scale, args.jobs)
         .expect("suite");
     let (base, brm) = report.totals();
     let (base_stats, br_stats) = report.stats_totals();

@@ -5,12 +5,13 @@
 //! Only **13.86%** of its transfers incur a pipeline delay (their target
 //! address was calculated fewer than two instructions earlier).
 
-use br_bench::{human, jobs_from_args, scale_from_args};
+use br_bench::{human, suite_args};
 use br_core::{pipeline, Experiment};
 
 fn main() {
-    let scale = scale_from_args();
-    let report = Experiment::new().run_suite_jobs(scale, jobs_from_args()).expect("suite");
+    let args = suite_args();
+    let scale = args.scale;
+    let report = Experiment::new().run_suite_jobs(scale, args.jobs).expect("suite");
     let (base, brm) = report.totals();
 
     println!("Section 7 cycle estimates ({scale:?} scale)");

@@ -8,6 +8,9 @@ use br_core::{Experiment, Machine};
 use br_workloads::strlen_example;
 
 fn main() {
+    // Nothing here scales or fans out, but the shared flags are accepted
+    // and anything else is rejected.
+    br_bench::suite_args();
     let src = strlen_example();
     println!("Figure 2 — C function");
     println!("{src}");

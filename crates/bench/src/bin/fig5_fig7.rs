@@ -5,6 +5,9 @@
 use br_core::pipeline::{cond_delay, uncond_delay, BranchScheme};
 
 fn main() {
+    // Nothing here scales or fans out, but the shared flags are accepted
+    // and anything else is rejected.
+    br_bench::suite_args();
     println!("Figure 5 — pipeline delays, unconditional transfers");
     println!();
     println!("{:<22} {:>4} {:>4} {:>4} {:>4}", "scheme", "N=3", "N=4", "N=5", "N=6");

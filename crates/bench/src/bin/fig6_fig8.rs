@@ -5,6 +5,9 @@
 use br_core::pipeline::{cond_trace, uncond_trace, BranchScheme};
 
 fn main() {
+    // Nothing here scales or fans out, but the shared flags are accepted
+    // and anything else is rejected.
+    br_bench::suite_args();
     println!("Figure 6 — pipeline actions for an unconditional transfer (3 stages)");
     for s in BranchScheme::ALL {
         println!();

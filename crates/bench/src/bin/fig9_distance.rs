@@ -2,13 +2,14 @@
 //! histogram of the dynamic distance between each branch-target address
 //! calculation and the transfer that consumes it.
 
-use br_bench::{human, jobs_from_args, scale_from_args};
+use br_bench::{human, suite_args};
 use br_core::Experiment;
 use br_emu::MAX_DIST_BUCKET;
 
 fn main() {
-    let scale = scale_from_args();
-    let report = Experiment::new().run_suite_jobs(scale, jobs_from_args()).expect("suite");
+    let args = suite_args();
+    let scale = args.scale;
+    let report = Experiment::new().run_suite_jobs(scale, args.jobs).expect("suite");
     let (_, brm) = report.totals();
 
     println!("Figure 9 — distance from address calculation to transfer ({scale:?} scale)");

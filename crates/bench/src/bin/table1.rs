@@ -5,13 +5,14 @@
 //! fewer instructions** and made **2.0% more data references** (a 10:1
 //! ratio of instructions saved to references added).
 
-use br_bench::{human, jobs_from_args, pct, scale_from_args};
+use br_bench::{human, pct, suite_args};
 use br_core::Experiment;
 
 fn main() {
-    let scale = scale_from_args();
+    let args = suite_args();
+    let scale = args.scale;
     let exp = Experiment::new();
-    let report = exp.run_suite_jobs(scale, jobs_from_args()).expect("suite");
+    let report = exp.run_suite_jobs(scale, args.jobs).expect("suite");
 
     println!("Table I — Dynamic Measurements from the Two Machines ({scale:?} scale)");
     println!();

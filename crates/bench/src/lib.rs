@@ -1,58 +1,72 @@
 //! `br-bench` — the measurement harness.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md's experiment index). All binaries accept
-//! `--paper` to run the full-size inputs (the default is the fast test
-//! scale).
+//! paper (see DESIGN.md's experiment index). The paper-artifact
+//! binaries parse their command line with [`suite_args`]: `--paper`
+//! runs the full-size inputs (the default is the fast test scale),
+//! `--jobs N` sets the worker count, and any other flag is a usage
+//! error.
 
 use br_core::Scale;
 
-/// Parse the common `--paper` flag from the process arguments.
-pub fn scale_from_args() -> Scale {
-    scale_from(std::env::args())
+/// The flags every paper-artifact binary shares: `--paper` selects the
+/// full-size inputs, `--jobs N` the worker count (0, the default, means
+/// one per available core). Binaries that neither scale nor fan out
+/// accept both and ignore them, so one command line drives them all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SuiteArgs {
+    pub scale: Scale,
+    pub jobs: usize,
 }
 
-/// Testable core of [`scale_from_args`].
-pub fn scale_from<I>(args: I) -> Scale
-where
-    I: IntoIterator,
-    I::Item: AsRef<str>,
-{
-    if args.into_iter().any(|a| a.as_ref() == "--paper") {
-        Scale::Paper
-    } else {
-        Scale::Test
-    }
-}
-
-/// Parse the common `--jobs N` flag from the process arguments.
-/// Returns 0 ("auto": one worker per available core) when absent. A
-/// malformed or missing value prints `--jobs needs a number` and exits
-/// with status 2, as `br-explore` does.
-pub fn jobs_from_args() -> usize {
-    jobs_from(std::env::args()).unwrap_or_else(|e| {
-        let bin = std::env::args().next().unwrap_or_default();
-        eprintln!("{}: {e}", bin.rsplit('/').next().unwrap_or(&bin));
-        std::process::exit(2)
-    })
-}
-
-/// Testable core of [`jobs_from_args`].
-pub fn jobs_from<I>(args: I) -> Result<usize, String>
-where
-    I: IntoIterator,
-    I::Item: AsRef<str>,
-{
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a.as_ref() == "--jobs" {
-            return it
-                .next()
-                .and_then(|v| v.as_ref().parse().ok())
-                .ok_or_else(|| "--jobs needs a number".to_string());
+/// Parse the process arguments strictly: `--paper`, `--jobs N` and
+/// `--help` are accepted. `--help` prints the usage to stdout and exits
+/// 0; anything else, or a malformed `--jobs` value, prints the error
+/// and the usage to stderr and exits 2.
+pub fn suite_args() -> SuiteArgs {
+    let mut argv = std::env::args();
+    let bin = argv.next().unwrap_or_default();
+    let bin = bin.rsplit('/').next().unwrap_or(&bin).to_string();
+    let usage = format!("usage: {bin} [--paper] [--jobs N]");
+    match parse_suite_args(argv) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{usage}");
+            std::process::exit(0)
+        }
+        Err(e) => {
+            eprintln!("{bin}: {e}\n{usage}");
+            std::process::exit(2)
         }
     }
-    Ok(0)
+}
+
+/// Testable core of [`suite_args`], over the arguments after the
+/// program name. `Ok(None)` means `--help`.
+pub fn parse_suite_args<I>(args: I) -> Result<Option<SuiteArgs>, String>
+where
+    I: IntoIterator,
+    I::Item: AsRef<str>,
+{
+    let mut out = SuiteArgs {
+        scale: Scale::Test,
+        jobs: 0,
+    };
+    let mut it = args.into_iter();
+    while let Some(a) = it.next() {
+        match a.as_ref() {
+            "--paper" => out.scale = Scale::Paper,
+            "--jobs" => {
+                out.jobs = it
+                    .next()
+                    .and_then(|v| v.as_ref().parse().ok())
+                    .ok_or("--jobs needs a number")?
+            }
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown argument: {other}")),
+        }
+    }
+    Ok(Some(out))
 }
 
 /// Render a ratio as a signed percentage string.
@@ -114,20 +128,22 @@ mod tests {
     }
 
     #[test]
-    fn scale_flag_parsing() {
-        assert_eq!(scale_from(["bin", "--paper"]), Scale::Paper);
-        assert_eq!(scale_from(["bin"]), Scale::Test);
-        assert_eq!(scale_from(["bin", "--jobs", "4"]), Scale::Test);
-    }
-
-    #[test]
-    fn jobs_flag_parsing() {
-        assert_eq!(jobs_from(["bin"]), Ok(0));
-        assert_eq!(jobs_from(["bin", "--jobs", "4"]), Ok(4));
-        assert_eq!(jobs_from(["bin", "--paper", "--jobs", "1"]), Ok(1));
-        // A malformed or missing value is an error, not a silent "auto".
+    fn suite_flag_parsing() {
+        let parse = |a: &[&str]| parse_suite_args(a.iter().copied());
+        let args = |scale, jobs| Ok(Some(SuiteArgs { scale, jobs }));
+        assert_eq!(parse(&[]), args(Scale::Test, 0));
+        assert_eq!(parse(&["--paper"]), args(Scale::Paper, 0));
+        assert_eq!(parse(&["--jobs", "4"]), args(Scale::Test, 4));
+        assert_eq!(parse(&["--paper", "--jobs", "1"]), args(Scale::Paper, 1));
+        assert_eq!(parse(&["--paper", "--help"]), Ok(None));
+        // A malformed or missing value is an error, not a silent "auto",
+        // and so is any flag the binaries do not know.
         let err = Err("--jobs needs a number".to_string());
-        assert_eq!(jobs_from(["bin", "--jobs", "lots"]), err);
-        assert_eq!(jobs_from(["bin", "--jobs"]), err);
+        assert_eq!(parse(&["--jobs", "lots"]), err);
+        assert_eq!(parse(&["--jobs"]), err);
+        assert_eq!(
+            parse(&["--profile", "x.json"]),
+            Err("unknown argument: --profile".to_string())
+        );
     }
 }

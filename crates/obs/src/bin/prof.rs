@@ -11,6 +11,10 @@
 //! The report is deterministic at any `--jobs` level: programs run in a
 //! fixed order (suite order, then corpus files sorted by name) and the
 //! nondeterministic wall-time fields only appear under `--times`.
+//!
+//! Exit status: 0 on success (and for `--help`), 1 when the coverage
+//! gate finds a gap or a program cannot be compiled or run, 2 on a
+//! usage error.
 
 use std::process::ExitCode;
 
@@ -26,7 +30,11 @@ struct Args {
     out: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+const USAGE: &str =
+    "usage: br-prof [--paper] [--jobs N] [--top N] [--times] [--check-coverage] [--out FILE]";
+
+/// The command line; `Ok(None)` for `--help`.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         scale: Scale::Test,
         jobs: 1,
@@ -50,17 +58,11 @@ fn parse_args() -> Result<Args, String> {
                 args.top = v.parse().map_err(|_| format!("bad --top value: {v}"))?;
             }
             "--out" => args.out = Some(it.next().ok_or("--out needs a value")?.to_string()),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: br-prof [--paper] [--jobs N] [--top N] [--times] \
-                     [--check-coverage] [--out FILE]"
-                        .to_string(),
-                )
-            }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 /// The torture regression corpus (`tests/corpus/*.c`), sorted by file
@@ -85,8 +87,7 @@ fn corpus_sources() -> Vec<(String, String)> {
         .collect()
 }
 
-fn real_main() -> Result<bool, String> {
-    let args = parse_args()?;
+fn real_main(args: Args) -> Result<bool, String> {
     let exp = Experiment::new();
 
     let mut sources: Vec<(String, String)> = suite(args.scale)
@@ -163,7 +164,18 @@ fn real_main() -> Result<bool, String> {
 }
 
 fn main() -> ExitCode {
-    match real_main() {
+    let args = match parse_args() {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("br-prof: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match real_main(args) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {

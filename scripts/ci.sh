@@ -8,7 +8,8 @@
 # execution-tier differential (interp vs threaded vs traced must be
 # observationally identical), the RV32I conformance gate plus a
 # 500-seed foreign-ISA ingest differential (reference interpreter vs
-# both translated machines), the ISA-coverage gate (br-prof
+# both translated machines, with the br-verify stage gates on, so
+# translated foreign code meets every checker), the ISA-coverage gate (br-prof
 # --check-coverage), the br-tv translation-validation + static-cost
 # gate, the br-explore replay-vs-live smoke, the br-serve chaos smoke,
 # a short run of every benchmark workload (its own package, which
@@ -52,8 +53,8 @@ cargo run --release -p br-torture -- --seed 7 --iters 500 --tiers --jobs 4 --bud
 echo "==> RV32I conformance gate (every supported encoding executes and agrees three ways)"
 cargo test -q -p br-ingest --test conformance
 
-echo "==> RV32I ingest differential smoke (500 seeds: reference vs baseline vs branch-register)"
-cargo run --release -p br-torture -- --rv32 --seed 11 --iters 500 --jobs 4
+echo "==> RV32I ingest differential smoke (500 seeds: reference vs baseline vs branch-register, verify gates on)"
+cargo run --release -p br-torture -- --rv32 --seed 11 --iters 500 --jobs 4 --verify
 
 echo "==> ISA-coverage gate (every legal encoding of both machines executes)"
 cargo run --release -p br-obs --bin br-prof -- --jobs 4 --check-coverage
