@@ -75,12 +75,48 @@ struct Geom {
 /// same-capacity associativity trades, a capacity step in each
 /// direction, and a prefetch ablation.
 const SWEEP_GEOMS: [Geom; 6] = [
-    Geom { label: "2KiB 2-way 16B (paper)", sets: 64, assoc: 2, line_words: 4, prefetch: true },
-    Geom { label: "2KiB direct 16B", sets: 128, assoc: 1, line_words: 4, prefetch: true },
-    Geom { label: "2KiB 4-way 16B", sets: 32, assoc: 4, line_words: 4, prefetch: true },
-    Geom { label: "4KiB 2-way 32B", sets: 64, assoc: 2, line_words: 8, prefetch: true },
-    Geom { label: "512B 2-way 16B", sets: 16, assoc: 2, line_words: 4, prefetch: true },
-    Geom { label: "2KiB 2-way 16B no-prefetch", sets: 64, assoc: 2, line_words: 4, prefetch: false },
+    Geom {
+        label: "2KiB 2-way 16B (paper)",
+        sets: 64,
+        assoc: 2,
+        line_words: 4,
+        prefetch: true,
+    },
+    Geom {
+        label: "2KiB direct 16B",
+        sets: 128,
+        assoc: 1,
+        line_words: 4,
+        prefetch: true,
+    },
+    Geom {
+        label: "2KiB 4-way 16B",
+        sets: 32,
+        assoc: 4,
+        line_words: 4,
+        prefetch: true,
+    },
+    Geom {
+        label: "4KiB 2-way 32B",
+        sets: 64,
+        assoc: 2,
+        line_words: 8,
+        prefetch: true,
+    },
+    Geom {
+        label: "512B 2-way 16B",
+        sets: 16,
+        assoc: 2,
+        line_words: 4,
+        prefetch: true,
+    },
+    Geom {
+        label: "2KiB 2-way 16B no-prefetch",
+        sets: 64,
+        assoc: 2,
+        line_words: 4,
+        prefetch: false,
+    },
 ];
 
 fn geom_cfg(g: &Geom, bregs: u8) -> CacheConfig {
@@ -182,8 +218,7 @@ fn lower_suite(scale: Scale, include_rv32: bool) -> Result<Suite, String> {
     }
     if include_rv32 {
         for (name, prog) in br_ingest::workloads::all() {
-            let module =
-                br_ingest::translate(&prog).map_err(|e| format!("{name}: ingest: {e}"))?;
+            let module = br_ingest::translate(&prog).map_err(|e| format!("{name}: ingest: {e}"))?;
             content_fp ^= mix(module.fingerprint().wrapping_add(names.len() as u64));
             names.push(name);
             modules.push(module);
@@ -215,8 +250,7 @@ impl ArtifactStore {
             Machine::Baseline => 1,
             Machine::BranchReg => 2,
         };
-        mix(tag ^ mix(exp.base_opts.fingerprint() ^ mix(exp.br_opts.fingerprint())))
-            ^ su.content_fp
+        mix(tag ^ mix(exp.base_opts.fingerprint() ^ mix(exp.br_opts.fingerprint()))) ^ su.content_fp
     }
 
     fn progs(
@@ -272,7 +306,11 @@ fn record_replay(
             .iter()
             .map(|c| replay(*c, &trace).map_err(|e| format!("{}: {e}", names[i])))
             .collect::<Result<Vec<CacheStats>, String>>()?;
-        Ok::<_, String>((trace.measurements().clone(), stats, trace.packed_len() as u64))
+        Ok::<_, String>((
+            trace.measurements().clone(),
+            stats,
+            trace.packed_len() as u64,
+        ))
     });
     let mut out = ReplayOutcome {
         meas: Measurements::new(),
@@ -647,7 +685,10 @@ fn run_section9(args: &Args) -> Result<bool, String> {
     println!();
 
     println!("compiler-optimization ablations (8 branch registers):");
-    println!("{:<38} {:>16} {:>10}", "configuration", "br insts", "vs base");
+    println!(
+        "{:<38} {:>16} {:>10}",
+        "configuration", "br insts", "vs base"
+    );
     let configs = [
         ("full (paper configuration)", BrOptions::default()),
         (

@@ -198,8 +198,7 @@ fn to_json(results: &[ProgramResult]) -> String {
             }
             if !f.findings.is_empty() {
                 w.key("findings");
-                let details: Vec<&str> =
-                    f.findings.iter().map(|d| d.detail.as_str()).collect();
+                let details: Vec<&str> = f.findings.iter().map(|d| d.detail.as_str()).collect();
                 w.str_array(&details);
             }
             w.close_obj();
@@ -303,8 +302,7 @@ fn gate(results: &[ProgramResult]) -> Vec<String> {
                                 r.name, p.stages, p.static_total, p.dynamic_total
                             ));
                         }
-                        let slack =
-                            p.static_total as f64 / p.dynamic_total.max(1) as f64 - 1.0;
+                        let slack = p.static_total as f64 / p.dynamic_total.max(1) as f64 - 1.0;
                         if slack > MAX_BR_SLACK {
                             fails.push(format!(
                                 "{}: BR static slack {:.3} above {MAX_BR_SLACK} at {} stages",
@@ -346,8 +344,7 @@ fn real_main(args: Args) -> Result<bool, String> {
         br_obs::coverage_kernel(),
     ));
     for (name, src) in corpus_sources() {
-        let module =
-            br_frontend::compile(&src).map_err(|e| format!("{name}: frontend: {e}"))?;
+        let module = br_frontend::compile(&src).map_err(|e| format!("{name}: frontend: {e}"))?;
         inputs.push((name, Pool::Corpus, module));
     }
 
@@ -365,8 +362,7 @@ fn real_main(args: Args) -> Result<bool, String> {
     }
 
     if let Some(path) = &args.out {
-        std::fs::write(path, to_json(&ok_results))
-            .map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(path, to_json(&ok_results)).map_err(|e| format!("writing {path}: {e}"))?;
     }
 
     if args.check {

@@ -5,7 +5,12 @@
 use br_bench::{human, suite_args};
 use br_core::{suite, CacheConfig, Experiment, Machine};
 
-fn run_config(exp: &Experiment, machine: Machine, cfg: CacheConfig, scale: br_core::Scale) -> br_core::CacheStats {
+fn run_config(
+    exp: &Experiment,
+    machine: Machine,
+    cfg: CacheConfig,
+    scale: br_core::Scale,
+) -> br_core::CacheStats {
     let mut total = br_core::CacheStats::default();
     for w in suite(scale) {
         let (_, stats) = exp
@@ -90,7 +95,10 @@ fn main() {
     //    would ensure a branch target could be prefetched without
     //    displacing the current instructions").
     println!("associativity sweep (capacity fixed at 2 KiB):");
-    println!("  {:<8} {:>14} {:>12}", "assoc", "fetch stalls", "pollution");
+    println!(
+        "  {:<8} {:>14} {:>12}",
+        "assoc", "fetch stalls", "pollution"
+    );
     for (sets, assoc) in [(128, 1), (64, 2), (32, 4)] {
         let s = run_config(
             &exp,
@@ -113,7 +121,10 @@ fn main() {
 
     // 3. Line-size sweep.
     println!("line-size sweep (2 KiB, 2-way):");
-    println!("  {:<12} {:>14} {:>12}", "line words", "fetch stalls", "misses");
+    println!(
+        "  {:<12} {:>14} {:>12}",
+        "line words", "fetch stalls", "misses"
+    );
     for (sets, line_words) in [(128, 2), (64, 4), (32, 8)] {
         let s = run_config(
             &exp,

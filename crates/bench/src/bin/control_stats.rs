@@ -60,18 +60,14 @@ fn main() {
         "  transfers : address calculations = {:.2} : 1 (paper: over 2 : 1)",
         brm.transfers as f64 / brm.addr_calcs.max(1) as f64
     );
-    println!(
-        "  noops executed (transfer carriers): {}",
-        human(brm.noops)
-    );
+    println!("  noops executed (transfer carriers): {}", human(brm.noops));
     println!(
         "  branch-register saves: {}   restores: {}",
         human(brm.br_saves),
         human(brm.br_restores)
     );
-    let total_carriers = br_stats.carriers_useful
-        + br_stats.carriers_noop
-        + br_stats.carriers_replaced_by_calc;
+    let total_carriers =
+        br_stats.carriers_useful + br_stats.carriers_noop + br_stats.carriers_replaced_by_calc;
     println!(
         "  static carriers: {} useful, {} noop, {} replaced by address calcs",
         br_stats.carriers_useful, br_stats.carriers_noop, br_stats.carriers_replaced_by_calc

@@ -11,7 +11,9 @@ use br_core::{pipeline, Experiment};
 fn main() {
     let args = suite_args();
     let scale = args.scale;
-    let report = Experiment::new().run_suite_jobs(scale, args.jobs).expect("suite");
+    let report = Experiment::new()
+        .run_suite_jobs(scale, args.jobs)
+        .expect("suite");
     let (base, brm) = report.totals();
 
     println!("Section 7 cycle estimates ({scale:?} scale)");

@@ -10,7 +10,10 @@ fn main() {
     br_bench::suite_args();
     println!("Figure 5 — pipeline delays, unconditional transfers");
     println!();
-    println!("{:<22} {:>4} {:>4} {:>4} {:>4}", "scheme", "N=3", "N=4", "N=5", "N=6");
+    println!(
+        "{:<22} {:>4} {:>4} {:>4} {:>4}",
+        "scheme", "N=3", "N=4", "N=5", "N=6"
+    );
     for s in BranchScheme::ALL {
         print!("{:<22}", s.name());
         for n in 3..=6 {
@@ -24,7 +27,10 @@ fn main() {
 
     println!("Figure 7 — pipeline delays, conditional transfers");
     println!();
-    println!("{:<22} {:>4} {:>4} {:>4} {:>4}", "scheme", "N=3", "N=4", "N=5", "N=6");
+    println!(
+        "{:<22} {:>4} {:>4} {:>4} {:>4}",
+        "scheme", "N=3", "N=4", "N=5", "N=6"
+    );
     for s in BranchScheme::ALL {
         print!("{:<22}", s.name());
         for n in 3..=6 {

@@ -9,7 +9,9 @@ use br_emu::MAX_DIST_BUCKET;
 fn main() {
     let args = suite_args();
     let scale = args.scale;
-    let report = Experiment::new().run_suite_jobs(scale, args.jobs).expect("suite");
+    let report = Experiment::new()
+        .run_suite_jobs(scale, args.jobs)
+        .expect("suite");
     let (_, brm) = report.totals();
 
     println!("Figure 9 — distance from address calculation to transfer ({scale:?} scale)");

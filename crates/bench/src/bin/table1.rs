@@ -62,7 +62,9 @@ fn main() {
     } else {
         f64::INFINITY
     };
-    println!("measured ratio of instructions-saved to data-refs-added: {ratio:.1} : 1 (paper: 10 : 1)");
+    println!(
+        "measured ratio of instructions-saved to data-refs-added: {ratio:.1} : 1 (paper: 10 : 1)"
+    );
 
     // Translated foreign-ISA workloads, measured the same way. These sit
     // outside the paper's totals (the paper predates the translator) but

@@ -5,7 +5,10 @@
 use std::process::{Command, Output};
 
 fn run(bin: &str, args: &[&str]) -> Output {
-    Command::new(bin).args(args).output().expect("binary starts")
+    Command::new(bin)
+        .args(args)
+        .output()
+        .expect("binary starts")
 }
 
 #[test]
@@ -45,7 +48,10 @@ fn br_tv_usage_error_exits_2_and_help_exits_0() {
     let out = run(env!("CARGO_BIN_EXE_br-tv"), &["--bogus"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--bogus") && stderr.contains("usage: br-tv"), "{stderr}");
+    assert!(
+        stderr.contains("--bogus") && stderr.contains("usage: br-tv"),
+        "{stderr}"
+    );
     let out = run(env!("CARGO_BIN_EXE_br-tv"), &["--help"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("usage: br-tv"));

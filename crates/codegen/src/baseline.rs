@@ -2,9 +2,7 @@
 //! with condition codes and delayed branches (paper Figure 10).
 
 use br_ir::RegClass;
-use br_isa::{
-    AluOp, AsmFunc, AsmItem, Cc, MInst, MemWidth, Reg, Reloc, Src2, SymRef,
-};
+use br_isa::{AluOp, AsmFunc, AsmItem, Cc, MInst, MemWidth, Reg, Reloc, Src2, SymRef};
 
 use crate::emit::{CodegenStats, Emit, FrameLayout};
 use crate::error::CodegenError;
@@ -190,7 +188,12 @@ pub fn emit_param_moves(e: &mut Emit<'_>, f: &VFunc) {
     let mut int_moves: Vec<(u8, u8)> = Vec::new();
     let mut float_moves: Vec<(u8, u8)> = Vec::new();
     let mut stack_loads: Vec<(VR, u32, bool)> = Vec::new();
-    let spilled = |v: VR| f.spilled_params.iter().find(|(p, _)| *p == v).map(|(_, s)| *s);
+    let spilled = |v: VR| {
+        f.spilled_params
+            .iter()
+            .find(|(p, _)| *p == v)
+            .map(|(_, s)| *s)
+    };
     for &(p, float) in &f.params {
         if float {
             if nf < e.target.float_args.len() {
@@ -437,7 +440,10 @@ fn emit_term(
                 br: 0,
             });
             let tbl = e.fresh_label();
-            e.push_reloc(MInst::Sethi { rd: t2, imm: 0 }, Reloc::Hi(SymRef::Label(tbl)));
+            e.push_reloc(
+                MInst::Sethi { rd: t2, imm: 0 },
+                Reloc::Hi(SymRef::Label(tbl)),
+            );
             e.push_reloc(
                 MInst::Alu {
                     op: AluOp::OrLo,
@@ -566,19 +572,17 @@ fn writes(i: &MInst) -> Option<Reg> {
 /// plain computational instruction the branch does not depend on. Compares
 /// are never moved (they feed the condition codes), and candidates already
 /// sitting in a previous branch's delay slot stay put.
-fn fill_delay_slots(
-    items: Vec<AsmItem>,
-    enable: bool,
-    stats: &mut CodegenStats,
-) -> Vec<AsmItem> {
+fn fill_delay_slots(items: Vec<AsmItem>, enable: bool, stats: &mut CodegenStats) -> Vec<AsmItem> {
     let mut out: Vec<AsmItem> = Vec::with_capacity(items.len());
     let mut i = 0;
     while i < items.len() {
         if enable && i + 2 < items.len() {
             let cand_ok = match (&items[i], &items[i + 1], &items[i + 2]) {
-                (AsmItem::Inst(c, creloc), AsmItem::Inst(b, _), AsmItem::Inst(MInst::Nop { br: 0 }, None))
-                    if is_branch(b) =>
-                {
+                (
+                    AsmItem::Inst(c, creloc),
+                    AsmItem::Inst(b, _),
+                    AsmItem::Inst(MInst::Nop { br: 0 }, None),
+                ) if is_branch(b) => {
                     let movable = !matches!(
                         c,
                         MInst::Cmp { .. }

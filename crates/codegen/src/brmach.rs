@@ -10,7 +10,7 @@ use br_isa::{AluOp, AsmFunc, AsmItem, BReg, MInst, Reg, Reloc, Src2, SymRef};
 use crate::baseline::{compute_max_out_args, emit_arg_setup, emit_param_moves, emit_result_move};
 use crate::emit::{CodegenStats, Emit, FrameLayout};
 use crate::error::CodegenError;
-use crate::hoist::{self, Hoisted, HoistedWhat, HoistPlan};
+use crate::hoist::{self, HoistPlan, Hoisted, HoistedWhat};
 use crate::regalloc::Allocation;
 use crate::target::{BrOptions, TargetSpec};
 use crate::vcode::{VFunc, VInst, VSrc, VTerm};
@@ -54,9 +54,7 @@ fn reads_reg(i: &MInst, r: Reg) -> bool {
     let src2_is = |s: &Src2| matches!(s, Src2::Reg(x) if *x == r);
     match i {
         MInst::Alu { rs1, src2, .. } => *rs1 == r || src2_is(src2),
-        MInst::Load { rs1, .. }
-        | MInst::LoadF { rs1, .. }
-        | MInst::StoreF { rs1, .. } => *rs1 == r,
+        MInst::Load { rs1, .. } | MInst::LoadF { rs1, .. } | MInst::StoreF { rs1, .. } => *rs1 == r,
         MInst::Store { rs, rs1, .. } => *rs == r || *rs1 == r,
         MInst::ItoF { rs, .. } => *rs == r,
         MInst::CmpBr { rs1, src2, .. } => *rs1 == r || src2_is(src2),
@@ -77,7 +75,6 @@ fn freg_def(i: &MInst) -> Option<u8> {
         _ => None,
     }
 }
-
 
 /// Registers (int, float, breg) read by an instruction, conservatively.
 fn reads_of(i: &MInst) -> (Vec<Reg>, Vec<u8>, Vec<u8>) {
@@ -203,9 +200,7 @@ impl<'a, 'e> BrEmit<'a, 'e> {
             .iter()
             .copied()
             .filter(|r| {
-                Some(*r) != self.stash
-                    && !self.scratch_used.contains(r)
-                    && !reserved.contains(r)
+                Some(*r) != self.stash && !self.scratch_used.contains(r) && !reserved.contains(r)
             })
             .collect();
         if pool.is_empty() {
@@ -350,7 +345,6 @@ impl<'a, 'e> BrEmit<'a, 'e> {
     }
 }
 
-
 /// Scan up to three instructions back for a carrier candidate that can
 /// legally move past everything after it and past the compare.
 fn find_held(
@@ -373,7 +367,9 @@ fn find_held(
             && i.br() == 0
             && breg_def(&i).is_none()
             && !reads_reg(&i, temp)
-            && reg_def(&i).map(|r| !cmp_reads_int.contains(&r)).unwrap_or(true)
+            && reg_def(&i)
+                .map(|r| !cmp_reads_int.contains(&r))
+                .unwrap_or(true)
             && freg_def(&i)
                 .map(|r| !cmp_reads_float.contains(&r))
                 .unwrap_or(true))
@@ -422,8 +418,7 @@ pub fn emit_brmach(
     // Does anything clobber b[7] before the return carriers?
     let has_internal = vf.has_call
         || vf.blocks.iter().any(|b| {
-            !matches!(b.term(), VTerm::Ret(_))
-                && !b.term().successors().is_empty()
+            !matches!(b.term(), VTerm::Ret(_)) && !b.term().successors().is_empty()
                 || matches!(b.term(), VTerm::Switch { .. })
         });
 
@@ -574,7 +569,9 @@ pub fn emit_brmach(
         let block = vf.blocks[bi].clone();
         for inst in &block.insts {
             match inst {
-                VInst::Call { func, args, dst } => emit_br_call(&mut ctx, vf, bi as u32, func, args, *dst),
+                VInst::Call { func, args, dst } => {
+                    emit_br_call(&mut ctx, vf, bi as u32, func, args, *dst)
+                }
                 other => ctx.e.emit_body(vf, other)?,
             }
         }
@@ -782,9 +779,7 @@ fn emit_br_term(
                 }
             };
             // Keep one pending bcalc as the conditional carrier.
-            let reserve = if ctx.opts.noop_replacement
-                && held.is_none()
-                && !ctx.opts.fused_compare
+            let reserve = if ctx.opts.noop_replacement && held.is_none() && !ctx.opts.fused_compare
             {
                 pending
                     .iter()
@@ -846,10 +841,7 @@ fn emit_br_term(
             if ctx.opts.fused_compare {
                 debug_assert!(held.is_none() && reserved.is_none());
                 if let Some(AsmItem::Inst(inst, rel)) = ctx.e.items.pop() {
-                    debug_assert!(matches!(
-                        inst,
-                        MInst::CmpBr { .. } | MInst::FCmpBr { .. }
-                    ));
+                    debug_assert!(matches!(inst, MInst::CmpBr { .. } | MInst::FCmpBr { .. }));
                     ctx.e.items.push(AsmItem::Inst(inst.with_br(7), rel));
                 }
                 if Some(else_bb) != next {
@@ -1130,12 +1122,14 @@ mod tests {
         let is = insts(&f);
         // No b7 spill to the stack...
         assert!(
-            !is.iter().any(|i| matches!(i, MInst::BStore { bs: BReg(7), .. })),
+            !is.iter()
+                .any(|i| matches!(i, MInst::BStore { bs: BReg(7), .. })),
             "leaf must not spill b7: {is:?}"
         );
         // ...but a stash move from b7 exists.
         assert!(
-            is.iter().any(|i| matches!(i, MInst::BMovB { bs: BReg(7), .. })),
+            is.iter()
+                .any(|i| matches!(i, MInst::BMovB { bs: BReg(7), .. })),
             "leaf must stash b7: {is:?}"
         );
     }
@@ -1149,11 +1143,13 @@ mod tests {
         let (f, _) = emit_for(src, "f", BrOptions::default());
         let is = insts(&f);
         assert!(
-            is.iter().any(|i| matches!(i, MInst::BStore { bs: BReg(7), .. })),
+            is.iter()
+                .any(|i| matches!(i, MInst::BStore { bs: BReg(7), .. })),
             "non-leaf must spill b7: {is:?}"
         );
         assert!(
-            is.iter().any(|i| matches!(i, MInst::BLoad { bd: BReg(7), .. })),
+            is.iter()
+                .any(|i| matches!(i, MInst::BLoad { bd: BReg(7), .. })),
             "and reload it before returning: {is:?}"
         );
     }
@@ -1177,7 +1173,10 @@ mod tests {
                 .any(|i| matches!(i, MInst::CmpBr { br: 7, .. })),
             "fused compare carries its own transfer: {fused_is:?}"
         );
-        assert!(fused_is.len() < insts(&plain).len(), "fused code is shorter");
+        assert!(
+            fused_is.len() < insts(&plain).len(),
+            "fused code is shorter"
+        );
     }
 
     #[test]
@@ -1194,9 +1193,7 @@ mod tests {
             }
         "#;
         let (f, _) = emit_for(src, "f", BrOptions::default());
-        let has_bload = insts(&f)
-            .iter()
-            .any(|i| matches!(i, MInst::BLoad { .. }));
+        let has_bload = insts(&f).iter().any(|i| matches!(i, MInst::BLoad { .. }));
         assert!(has_bload, "indirect jump loads a branch register");
         let words = f
             .items

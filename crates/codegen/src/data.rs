@@ -19,8 +19,7 @@ pub fn lower_globals(module: &Module) -> Vec<DataItem> {
                     v
                 }
                 GlobalInit::Words(ws) => {
-                    let mut v: Vec<u8> =
-                        ws.iter().flat_map(|w| w.to_le_bytes()).collect();
+                    let mut v: Vec<u8> = ws.iter().flat_map(|w| w.to_le_bytes()).collect();
                     v.resize(size, 0);
                     v
                 }
@@ -73,10 +72,7 @@ mod tests {
             init: GlobalInit::Words(vec![1, -1]),
         });
         let items = lower_globals(&m);
-        assert_eq!(
-            items[0].bytes,
-            vec![1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF]
-        );
+        assert_eq!(items[0].bytes, vec![1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF]);
     }
 
     #[test]

@@ -182,10 +182,7 @@ impl<'a> Emit<'a> {
             });
         } else {
             let u = val as u32;
-            self.push(MInst::Sethi {
-                rd,
-                imm: u >> 11,
-            });
+            self.push(MInst::Sethi { rd, imm: u >> 11 });
             let lo = (u & 0x7FF) as i32;
             if lo != 0 {
                 self.push(MInst::Alu {
@@ -491,11 +488,7 @@ impl<'a> Emit<'a> {
     /// Emit a parallel move among physical registers of one class.
     /// `temp` breaks cycles; `float` selects the register file.
     pub fn parallel_move(&mut self, moves: &[(u8, u8)], temp: u8, float: bool) {
-        let mut pending: Vec<(u8, u8)> = moves
-            .iter()
-            .copied()
-            .filter(|(s, d)| s != d)
-            .collect();
+        let mut pending: Vec<(u8, u8)> = moves.iter().copied().filter(|(s, d)| s != d).collect();
         let emit_one = |e: &mut Emit<'a>, s: u8, d: u8| {
             if float {
                 e.push(MInst::FMov {

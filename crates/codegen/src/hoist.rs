@@ -269,8 +269,7 @@ pub fn plan(
             r
         })
         .collect();
-    let disjoint =
-        |a: usize, b: usize| region[a].iter().zip(&region[b]).all(|(x, y)| x & y == 0);
+    let disjoint = |a: usize, b: usize| region[a].iter().zip(&region[b]).all(|(x, y)| x & y == 0);
     // Preference-ordered pools, materialized once.
     let any_pool: Vec<u8> = caller_pool
         .iter()

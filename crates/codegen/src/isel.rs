@@ -8,9 +8,7 @@
 
 use std::collections::HashMap;
 
-use br_ir::{
-    BinOp, CastKind, Cond, Function, Inst, Module, Operand, RegClass, UnOp, Width,
-};
+use br_ir::{BinOp, CastKind, Cond, Function, Inst, Module, Operand, RegClass, UnOp, Width};
 use br_isa::{AluOp, Cc, FpuOp, MemWidth};
 
 use crate::error::CodegenError;
@@ -114,13 +112,7 @@ pub fn select(
 }
 
 /// Force an IR operand into a vreg of the right class.
-fn as_vr(
-    o: &Operand,
-    float: bool,
-    vf: &mut VFunc,
-    out: &mut VBlock,
-    pool: &mut ConstPool,
-) -> VR {
+fn as_vr(o: &Operand, float: bool, vf: &mut VFunc, out: &mut VBlock, pool: &mut ConstPool) -> VR {
     match o {
         Operand::Reg(v) => v.0,
         Operand::Const(c) => {
@@ -200,7 +192,10 @@ fn sel_inst(
             }
             UnOp::FNeg => {
                 let av = as_vr(a, true, vf, out, pool);
-                out.insts.push(VInst::FNeg { dst: dst.0, src: av });
+                out.insts.push(VInst::FNeg {
+                    dst: dst.0,
+                    src: av,
+                });
             }
         },
         Inst::Copy { dst, a } => {
@@ -231,11 +226,17 @@ fn sel_inst(
         Inst::Cast { kind, dst, a } => match kind {
             CastKind::IntToFloat => {
                 let av = as_vr(a, false, vf, out, pool);
-                out.insts.push(VInst::ItoF { dst: dst.0, src: av });
+                out.insts.push(VInst::ItoF {
+                    dst: dst.0,
+                    src: av,
+                });
             }
             CastKind::FloatToInt => {
                 let av = as_vr(a, true, vf, out, pool);
-                out.insts.push(VInst::FtoI { dst: dst.0, src: av });
+                out.insts.push(VInst::FtoI {
+                    dst: dst.0,
+                    src: av,
+                });
             }
         },
         Inst::Load {
@@ -289,7 +290,10 @@ fn sel_inst(
         Inst::AddrOf { dst, sym, off } => {
             let name = module.symbol_name(*sym).to_string();
             if *off == 0 {
-                out.insts.push(VInst::La { dst: dst.0, sym: name });
+                out.insts.push(VInst::La {
+                    dst: dst.0,
+                    sym: name,
+                });
             } else {
                 let t = vf.new_vreg(RegClass::Int);
                 out.insts.push(VInst::La { dst: t, sym: name });

@@ -712,8 +712,7 @@ mod tests {
 
     #[test]
     fn ablation_no_hoisting_executes_more_instructions() {
-        let src =
-            "int main() { int s = 0; for (int i = 0; i < 200; i++) s += i; return s % 256; }";
+        let src = "int main() { int s = 0; for (int i = 0; i < 200; i++) s += i; return s % 256; }";
         let module = br_frontend::compile(src).unwrap();
         let with = compile_module(
             &module,
@@ -795,7 +794,8 @@ mod tests {
         "#;
         let module = br_frontend::compile(src).unwrap();
         let run = |opts: BrOptions| {
-            let out = compile_module(&module, Machine::BranchReg, Default::default(), opts).unwrap();
+            let out =
+                compile_module(&module, Machine::BranchReg, Default::default(), opts).unwrap();
             let p = out.asm.assemble().unwrap();
             let mut emu = Emulator::new(&p);
             let exit = emu.run(10_000_000).unwrap();
@@ -820,9 +820,13 @@ mod tests {
             let w = br_workloads::by_name(name, br_workloads::Scale::Test).unwrap();
             let module = br_frontend::compile(&w.source).unwrap();
             let base = {
-                let out =
-                    compile_module(&module, Machine::Baseline, Default::default(), Default::default())
-                        .unwrap();
+                let out = compile_module(
+                    &module,
+                    Machine::Baseline,
+                    Default::default(),
+                    Default::default(),
+                )
+                .unwrap();
                 let p = out.asm.assemble().unwrap();
                 let mut emu = Emulator::new(&p);
                 emu.run(100_000_000).unwrap()
@@ -869,8 +873,7 @@ mod tests {
 
     #[test]
     fn stats_track_carrier_kinds() {
-        let src =
-            "int main() { int s = 0; for (int i = 0; i < 10; i++) s += i; return s; }";
+        let src = "int main() { int s = 0; for (int i = 0; i < 10; i++) s += i; return s; }";
         let module = br_frontend::compile(src).unwrap();
         let out = compile_module(
             &module,

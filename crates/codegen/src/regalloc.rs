@@ -405,8 +405,7 @@ fn try_color(
         }
     };
 
-    let row_count =
-        |r: &[u64]| -> usize { r.iter().map(|w| w.count_ones() as usize).sum() };
+    let row_count = |r: &[u64]| -> usize { r.iter().map(|w| w.count_ones() as usize).sum() };
     let mut degree: Vec<usize> = (0..n).map(|v| row_count(g.adj.row(v))).collect();
     let mut removed = vec![false; n];
     let mut stack: Vec<(VR, bool)> = Vec::new(); // (vreg, may_spill)
@@ -485,9 +484,7 @@ fn try_color(
         if let Some(c) = assign[v as usize] {
             match f.class_of(v) {
                 RegClass::Int => {
-                    if target.int_callee.iter().any(|r| r.0 == c)
-                        && !used_int_callee.contains(&c)
-                    {
+                    if target.int_callee.iter().any(|r| r.0 == c) && !used_int_callee.contains(&c) {
                         used_int_callee.push(c);
                     }
                 }
@@ -638,7 +635,8 @@ fn substitute(inst: &mut VInst, from: VR, to: VR) {
             fix(b);
         }
         VInst::Call { args, .. } => args.iter_mut().for_each(fix),
-        VInst::Li { .. } | VInst::La { .. } | VInst::FrameAddr { .. } | VInst::FrameLoad { .. } => {}
+        VInst::Li { .. } | VInst::La { .. } | VInst::FrameAddr { .. } | VInst::FrameLoad { .. } => {
+        }
     }
 }
 
@@ -656,7 +654,11 @@ fn substitute_def(inst: &mut VInst, from: VR, to: VR) {
         | VInst::FNeg { dst, .. }
         | VInst::FMov { dst, .. }
         | VInst::ItoF { dst, .. }
-        | VInst::FtoI { dst, .. } if *dst == from => *dst = to,
+        | VInst::FtoI { dst, .. }
+            if *dst == from =>
+        {
+            *dst = to
+        }
         VInst::Call { dst, .. } if *dst == Some(from) => *dst = Some(to),
         _ => {}
     }
@@ -694,8 +696,12 @@ pub fn dataflow_snapshot(f: &VFunc, depth: &[u32]) -> DataflowSnapshot {
         }
     }
     DataflowSnapshot {
-        live_in: (0..nb).map(|i| iter_bits(lv.live_in.row(i)).collect()).collect(),
-        live_out: (0..nb).map(|i| iter_bits(lv.live_out.row(i)).collect()).collect(),
+        live_in: (0..nb)
+            .map(|i| iter_bits(lv.live_in.row(i)).collect())
+            .collect(),
+        live_out: (0..nb)
+            .map(|i| iter_bits(lv.live_out.row(i)).collect())
+            .collect(),
         edges,
         across_call: g.across_call,
         cost: g.cost,
@@ -782,12 +788,19 @@ mod tests {
         assert!(!used.is_empty());
         let mut prefix: Vec<u8> = pref[..used.len()].to_vec();
         prefix.sort_unstable();
-        assert_eq!(used, prefix, "colors used are not a preference-order prefix");
+        assert_eq!(
+            used, prefix,
+            "colors used are not a preference-order prefix"
+        );
     }
 
     #[test]
     fn simple_function_allocates_without_spills() {
-        let (vf, a) = alloc_for("int f(int x, int y) { return x * y + x; }", "f", Machine::Baseline);
+        let (vf, a) = alloc_for(
+            "int f(int x, int y) { return x * y + x; }",
+            "f",
+            Machine::Baseline,
+        );
         assert_eq!(vf.num_spills, 0);
         check_valid(&vf, &a);
     }
@@ -822,9 +835,7 @@ mod tests {
             sum.push_str(&format!(" + v{i}"));
         }
         sum.push(';');
-        let src = format!(
-            "int g(int x) {{ return x; }}\nint f(int a) {{ {body} {sum} }}"
-        );
+        let src = format!("int g(int x) {{ return x; }}\nint f(int a) {{ {body} {sum} }}");
         let (vf_base, ab) = alloc_for(&src, "f", Machine::Baseline);
         let (vf_br, abr) = alloc_for(&src, "f", Machine::BranchReg);
         check_valid(&vf_base, &ab);

@@ -174,16 +174,31 @@ mod tests {
     fn option_fingerprints_separate_every_field() {
         let base = BrOptions::default();
         let variants = [
-            BrOptions { num_bregs: 4, ..base },
-            BrOptions { hoisting: false, ..base },
-            BrOptions { noop_replacement: false, ..base },
-            BrOptions { fused_compare: true, ..base },
+            BrOptions {
+                num_bregs: 4,
+                ..base
+            },
+            BrOptions {
+                hoisting: false,
+                ..base
+            },
+            BrOptions {
+                noop_replacement: false,
+                ..base
+            },
+            BrOptions {
+                fused_compare: true,
+                ..base
+            },
         ];
         for v in &variants {
             assert_ne!(v.fingerprint(), base.fingerprint(), "{v:?}");
         }
         assert_ne!(
-            BaseOptions { fill_delay_slots: false }.fingerprint(),
+            BaseOptions {
+                fill_delay_slots: false
+            }
+            .fingerprint(),
             BaseOptions::default().fingerprint()
         );
     }
@@ -213,10 +228,7 @@ mod tests {
     fn br_machine_has_fewer_allocatable_registers() {
         let b = TargetSpec::for_machine(Machine::Baseline);
         let r = TargetSpec::for_machine(Machine::BranchReg);
-        assert!(
-            b.int_caller.len() + b.int_callee.len()
-                > r.int_caller.len() + r.int_callee.len()
-        );
+        assert!(b.int_caller.len() + b.int_callee.len() > r.int_caller.len() + r.int_callee.len());
     }
 
     #[test]

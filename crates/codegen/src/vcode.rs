@@ -43,12 +43,7 @@ pub enum FrameRef {
 #[derive(Debug, Clone, PartialEq)]
 pub enum VInst {
     /// `dst = a op b`.
-    Alu {
-        op: AluOp,
-        dst: VR,
-        a: VR,
-        b: VSrc,
-    },
+    Alu { op: AluOp, dst: VR, a: VR, b: VSrc },
     /// `dst = val` (expands to `add`/`sethi+orlo` at emission).
     Li { dst: VR, val: i32 },
     /// `dst = &symbol` (expands to `sethi+orlo`).
@@ -77,9 +72,17 @@ pub enum VInst {
     FrameAddr { dst: VR, fref: FrameRef, off: i32 },
     /// `dst = M[frame(fref)]` — frame-relative load (spill reloads,
     /// incoming stack args). `float` selects the register file.
-    FrameLoad { dst: VR, fref: FrameRef, float: bool },
+    FrameLoad {
+        dst: VR,
+        fref: FrameRef,
+        float: bool,
+    },
     /// `M[frame(fref)] = src`.
-    FrameStore { src: VR, fref: FrameRef, float: bool },
+    FrameStore {
+        src: VR,
+        fref: FrameRef,
+        float: bool,
+    },
     /// Float three-address op.
     Fpu { op: FpuOp, dst: VR, a: VR, b: VR },
     /// Float negate.
@@ -129,7 +132,10 @@ impl VInst {
                     out.push(*v);
                 }
             }
-            VInst::Li { .. } | VInst::La { .. } | VInst::FrameAddr { .. } | VInst::FrameLoad { .. } => {}
+            VInst::Li { .. }
+            | VInst::La { .. }
+            | VInst::FrameAddr { .. }
+            | VInst::FrameLoad { .. } => {}
             VInst::Mov { src, .. }
             | VInst::FNeg { src, .. }
             | VInst::FMov { src, .. }

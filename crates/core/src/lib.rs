@@ -613,7 +613,8 @@ mod tests {
 
     #[test]
     fn simple_program_agrees_across_all_three_executions() {
-        let src = "int main() { int s = 1; for (int i = 1; i <= 10; i++) s = s * i % 97; return s; }";
+        let src =
+            "int main() { int s = 1; for (int i = 1; i <= 10; i++) s = s * i % 97; return s; }";
         let module = br_frontend::compile(src).unwrap();
         let expected = Interpreter::new(&module).run("main", &[]).unwrap();
         let cmp = Experiment::new().run_comparison("t", src).unwrap();
@@ -731,7 +732,10 @@ mod tests {
         // Every variant renders a human sentence with no `{:?}` leakage —
         // these strings cross the br-serve wire to clients.
         let deadline = CompileError::Deadline { elapsed_ms: 41 };
-        assert_eq!(deadline.to_string(), "compile deadline exceeded after 41 ms");
+        assert_eq!(
+            deadline.to_string(),
+            "compile deadline exceeded after 41 ms"
+        );
         let asm = CompileError::Asm("duplicate label".into());
         assert_eq!(asm.to_string(), "assembler: duplicate label");
         let ingest = CompileError::Ingest(br_ingest::IngestError::EmptyText);
@@ -763,7 +767,9 @@ mod tests {
             .map(encode)
             .collect();
         let prog = br_ingest::Rv32Program::new(words);
-        let cmp = Experiment::new().run_rv32_comparison("rv32/smoke", &prog).unwrap();
+        let cmp = Experiment::new()
+            .run_rv32_comparison("rv32/smoke", &prog)
+            .unwrap();
         assert_eq!(cmp.baseline.exit, 54);
         assert_eq!(cmp.brmach.exit, 54);
         // The translated binary really is branchy enough to differ

@@ -74,7 +74,11 @@ impl fmt::Debug for WorkerPanic {
 
 impl fmt::Display for WorkerPanic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "worker panicked on item {}: {}", self.index, self.message)
+        write!(
+            f,
+            "worker panicked on item {}: {}",
+            self.index, self.message
+        )
     }
 }
 

@@ -194,8 +194,11 @@ macro_rules! store_handlers {
 
 store_handlers!(h_store_byte, MemWidth::Byte, |e, d| e.regs[d.a as usize]);
 store_handlers!(h_store_word, MemWidth::Word, |e, d| e.regs[d.a as usize]);
-store_handlers!(h_store_f, MemWidth::Word, |e, d| e.fregs[d.a as usize]
-    .to_bits() as i32);
+store_handlers!(
+    h_store_f,
+    MemWidth::Word,
+    |e, d| e.fregs[d.a as usize].to_bits() as i32
+);
 
 macro_rules! fpu_handlers {
     ($name:ident, $op:tt) => {
@@ -328,10 +331,7 @@ fn h_bmovb(e: &mut Emulator<'_>, d: &Decoded, pc: u32, now: u64) -> Result<Step,
     let (v, src_time) = if d.b == 0 {
         (pc + 4, 0)
     } else {
-        (
-            e.bregs[d.b as usize],
-            e.brstate[d.b as usize].assign_time,
-        )
+        (e.bregs[d.b as usize], e.brstate[d.b as usize].assign_time)
     };
     e.write_breg(d.a, v, now);
     // Moving an already-prefetched register preserves its prefetch time.

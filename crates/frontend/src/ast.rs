@@ -91,12 +91,7 @@ pub enum Stmt {
     While(Expr, Box<Stmt>),
     DoWhile(Box<Stmt>, Expr),
     /// `for (init; cond; step) body` — all parts optional.
-    For(
-        Option<Box<Stmt>>,
-        Option<Expr>,
-        Option<Expr>,
-        Box<Stmt>,
-    ),
+    For(Option<Box<Stmt>>, Option<Expr>, Option<Expr>, Box<Stmt>),
     Switch(Expr, Vec<SwitchArm>),
     Return(Option<Expr>),
     Break,

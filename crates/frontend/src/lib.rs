@@ -82,7 +82,10 @@ mod tests {
 
     #[test]
     fn comparisons_yield_zero_or_one() {
-        assert_eq!(run("int main() { return (3 < 5) + (5 < 3) + (4 == 4); }"), 2);
+        assert_eq!(
+            run("int main() { return (3 < 5) + (5 < 3) + (4 == 4); }"),
+            2
+        );
     }
 
     #[test]
@@ -220,7 +223,10 @@ mod tests {
 
     #[test]
     fn int_float_mixing() {
-        assert_eq!(run("int main() { float x = 3; x = x + 1; return (int)(x * 2.0); }"), 8);
+        assert_eq!(
+            run("int main() { float x = 3; x = x + 1; return (int)(x * 2.0); }"),
+            8
+        );
     }
 
     #[test]

@@ -81,9 +81,7 @@ fn lower_global_init(
 ) -> Result<(Ty, GlobalInit), CompileError> {
     // Resolve inferred outer dimension.
     let ty = match (ty, init) {
-        (Ty::Array(elem, 0), Some(GlobalInitAst::Str(s))) => {
-            Ty::Array(elem.clone(), s.len() + 1)
-        }
+        (Ty::Array(elem, 0), Some(GlobalInitAst::Str(s))) => Ty::Array(elem.clone(), s.len() + 1),
         (Ty::Array(elem, 0), Some(GlobalInitAst::List(items))) => {
             Ty::Array(elem.clone(), items.len())
         }
@@ -101,12 +99,8 @@ fn lower_global_init(
     let gi = match (&ty, init) {
         (Ty::Int | Ty::Ptr(_), GlobalInitAst::Int(v)) => GlobalInit::Words(vec![*v as i32]),
         (Ty::Char, GlobalInitAst::Int(v)) => GlobalInit::Bytes(vec![*v as u8]),
-        (Ty::Float, GlobalInitAst::Float(v)) => {
-            GlobalInit::Words(vec![v.to_bits() as i32])
-        }
-        (Ty::Float, GlobalInitAst::Int(v)) => {
-            GlobalInit::Words(vec![(*v as f32).to_bits() as i32])
-        }
+        (Ty::Float, GlobalInitAst::Float(v)) => GlobalInit::Words(vec![v.to_bits() as i32]),
+        (Ty::Float, GlobalInitAst::Int(v)) => GlobalInit::Words(vec![(*v as f32).to_bits() as i32]),
         (Ty::Array(elem, n), GlobalInitAst::Str(s)) if **elem == Ty::Char => {
             if s.len() + 1 > *n {
                 return Err(CompileError::new(line, "string longer than array"));
@@ -115,9 +109,7 @@ fn lower_global_init(
             bytes.resize(*n, 0);
             GlobalInit::Bytes(bytes)
         }
-        (Ty::Array(elem, n), GlobalInitAst::List(items)) => {
-            flatten_list(elem, *n, items, line)?
-        }
+        (Ty::Array(elem, n), GlobalInitAst::List(items)) => flatten_list(elem, *n, items, line)?,
         _ => {
             return Err(CompileError::new(
                 line,
@@ -472,12 +464,7 @@ impl<'a> FnLower<'a> {
         }
     }
 
-    fn local_decl(
-        &mut self,
-        ty: &Ty,
-        name: &str,
-        init: Option<&Expr>,
-    ) -> Result<(), CompileError> {
+    fn local_decl(&mut self, ty: &Ty, name: &str, init: Option<&Expr>) -> Result<(), CompileError> {
         if matches!(ty, Ty::Array(_, 0)) {
             return Err(CompileError::new(0, "local arrays must have a size"));
         }
@@ -505,7 +492,10 @@ impl<'a> FnLower<'a> {
             .insert(name.to_string(), binding.clone());
         if let Some(e) = init {
             if matches!(ty, Ty::Array(..)) {
-                return Err(CompileError::new(e.line, "local arrays cannot be initialized"));
+                return Err(CompileError::new(
+                    e.line,
+                    "local arrays cannot be initialized",
+                ));
             }
             let (op, ety) = self.expr(e)?;
             let op = self.coerce(op, &ety, ty, e.line)?;
@@ -703,7 +693,10 @@ impl<'a> FnLower<'a> {
                 });
             }
         }
-        Err(CompileError::new(line, format!("unknown identifier '{name}'")))
+        Err(CompileError::new(
+            line,
+            format!("unknown identifier '{name}'"),
+        ))
     }
 
     /// Evaluate `e` as an rvalue.
@@ -731,9 +724,7 @@ impl<'a> FnLower<'a> {
                         VarPlace::Slot(slot) => {
                             self.b().push(Inst::FrameAddr { dst, slot, off: 0 })
                         }
-                        VarPlace::Global(sym) => {
-                            self.b().push(Inst::AddrOf { dst, sym, off: 0 })
-                        }
+                        VarPlace::Global(sym) => self.b().push(Inst::AddrOf { dst, sym, off: 0 }),
                         VarPlace::Reg(_) => unreachable!("arrays never live in registers"),
                     }
                     return Ok((Operand::Reg(dst), Ty::Ptr(elem.clone())));
@@ -913,7 +904,10 @@ impl<'a> FnLower<'a> {
                 let scaled = if size == 1 {
                     idx
                 } else {
-                    Operand::Reg(self.b().bin(BinOp::Mul, RegClass::Int, idx, Operand::Const(size)))
+                    Operand::Reg(
+                        self.b()
+                            .bin(BinOp::Mul, RegClass::Int, idx, Operand::Const(size)),
+                    )
                 };
                 let addr = self.b().bin(BinOp::Add, RegClass::Int, base, scaled);
                 Ok(Place::Mem {
@@ -1063,7 +1057,11 @@ impl<'a> FnLower<'a> {
                         Operand::Const(size),
                     )),
                 };
-                let op = if k == BinKind::Add { BinOp::Add } else { BinOp::Sub };
+                let op = if k == BinKind::Add {
+                    BinOp::Add
+                } else {
+                    BinOp::Sub
+                };
                 let dst = self.b().bin(op, RegClass::Int, va, scaled);
                 Ok((Operand::Reg(dst), ta))
             }
@@ -1175,10 +1173,7 @@ impl<'a> FnLower<'a> {
         };
         let inc = matches!(k, IncDec::PreInc | IncDec::PostInc);
         let (op, dclass) = if ty.is_float() {
-            (
-                if inc { BinOp::FAdd } else { BinOp::FSub },
-                RegClass::Float,
-            )
+            (if inc { BinOp::FAdd } else { BinOp::FSub }, RegClass::Float)
         } else {
             (if inc { BinOp::Add } else { BinOp::Sub }, RegClass::Int)
         };
@@ -1378,7 +1373,9 @@ impl<'a> FnLower<'a> {
                 if let Operand::Const(c) = v {
                     return Ok(Operand::Const((c as u8) as i64));
                 }
-                let dst = self.b().bin(BinOp::And, RegClass::Int, v, Operand::Const(0xFF));
+                let dst = self
+                    .b()
+                    .bin(BinOp::And, RegClass::Int, v, Operand::Const(0xFF));
                 Ok(Operand::Reg(dst))
             }
             // char → int: already promoted.
@@ -1443,9 +1440,7 @@ fn collect_addr_taken(stmts: &[Stmt], out: &mut HashSet<String>) {
                 walk_expr(a, out);
                 walk_expr(b, out);
             }
-            ExprKind::Un(_, a) | ExprKind::IncDec(_, a) | ExprKind::Cast(_, a) => {
-                walk_expr(a, out)
-            }
+            ExprKind::Un(_, a) | ExprKind::IncDec(_, a) | ExprKind::Cast(_, a) => walk_expr(a, out),
             ExprKind::Ternary(c, a, b) => {
                 walk_expr(c, out);
                 walk_expr(a, out);

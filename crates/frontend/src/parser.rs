@@ -550,7 +550,11 @@ impl Parser {
                     let inc = matches!(self.bump(), Tok::PlusPlus);
                     e = Expr {
                         kind: ExprKind::IncDec(
-                            if inc { IncDec::PostInc } else { IncDec::PostDec },
+                            if inc {
+                                IncDec::PostInc
+                            } else {
+                                IncDec::PostDec
+                            },
                             Box::new(e),
                         ),
                         line,

@@ -296,7 +296,10 @@ impl ICacheSim {
     /// loop.
     fn set_and_tag(&self, addr: u32) -> (usize, u32) {
         let line_addr = addr >> self.line_shift;
-        ((line_addr & self.set_mask) as usize, line_addr >> self.set_shift)
+        (
+            (line_addr & self.set_mask) as usize,
+            line_addr >> self.set_shift,
+        )
     }
 
     fn lookup(&mut self, set: usize, tag: u32) -> Option<usize> {
@@ -700,7 +703,9 @@ mod tests {
         // runs of varied length/alignment plus occasional prefetches.
         let mut x = 0x9e3779b97f4a7c15u64;
         let mut step = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             x >> 33
         };
         let geoms = [
@@ -806,7 +811,9 @@ mod tests {
         ];
         let mut x = 0x1234_5678_9abc_def0u64;
         let mut step = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             x >> 33
         };
         for cfg in cfgs {

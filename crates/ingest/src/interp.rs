@@ -56,7 +56,10 @@ impl fmt::Display for RefError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RefError::OutOfFuel { steps } => {
-                write!(f, "rv32 reference interpreter out of fuel after {steps} steps")
+                write!(
+                    f,
+                    "rv32 reference interpreter out of fuel after {steps} steps"
+                )
             }
             RefError::Untranslatable(e) => write!(f, "rv32 reference interpreter: {e}"),
         }
@@ -91,7 +94,13 @@ pub fn run(prog: &Rv32Program, fuel: u64) -> Result<RefOutcome, RefError> {
             // A "trap" mirrors the translated code's trap block: exit
             // with the sentinel.  Jumps leaving the text segment or
             // landing misaligned trap; so does falling off the end.
-            return Ok(RefOutcome { exit: TRAP_EXIT, steps, stores, mem, kinds });
+            return Ok(RefOutcome {
+                exit: TRAP_EXIT,
+                steps,
+                stores,
+                mem,
+                kinds,
+            });
         }
         if steps >= fuel {
             return Err(RefError::OutOfFuel { steps });
@@ -102,9 +111,7 @@ pub fn run(prog: &Rv32Program, fuel: u64) -> Result<RefOutcome, RefError> {
         let mut next = pc.wrapping_add(4);
         match inst {
             Rv32Inst::Lui { rd, imm20 } => wr(&mut x, rd, imm20 << 12),
-            Rv32Inst::Auipc { rd, imm20 } => {
-                wr(&mut x, rd, (pc as i32).wrapping_add(imm20 << 12))
-            }
+            Rv32Inst::Auipc { rd, imm20 } => wr(&mut x, rd, (pc as i32).wrapping_add(imm20 << 12)),
             Rv32Inst::Jal { rd, off } => {
                 wr(&mut x, rd, pc.wrapping_add(4) as i32);
                 next = pc.wrapping_add(off as u32);
@@ -114,7 +121,12 @@ pub fn run(prog: &Rv32Program, fuel: u64) -> Result<RefOutcome, RefError> {
                 wr(&mut x, rd, pc.wrapping_add(4) as i32);
                 next = t;
             }
-            Rv32Inst::Branch { cond, rs1, rs2, off } => {
+            Rv32Inst::Branch {
+                cond,
+                rs1,
+                rs2,
+                off,
+            } => {
                 let (a, b) = (x[rs1 as usize], x[rs2 as usize]);
                 let taken = match cond {
                     BrCond::Eq => a == b,
@@ -128,7 +140,12 @@ pub fn run(prog: &Rv32Program, fuel: u64) -> Result<RefOutcome, RefError> {
                     next = pc.wrapping_add(off as u32);
                 }
             }
-            Rv32Inst::Load { width, rd, rs1, imm } => {
+            Rv32Inst::Load {
+                width,
+                rd,
+                rs1,
+                imm,
+            } => {
                 let ea = x[rs1 as usize].wrapping_add(imm) as u32;
                 let v = match width {
                     MemW::B => mem[(ea & MASK) as usize] as i8 as i32,
@@ -149,7 +166,12 @@ pub fn run(prog: &Rv32Program, fuel: u64) -> Result<RefOutcome, RefError> {
                 };
                 wr(&mut x, rd, v);
             }
-            Rv32Inst::Store { width, rs1, rs2, imm } => {
+            Rv32Inst::Store {
+                width,
+                rs1,
+                rs2,
+                imm,
+            } => {
                 let ea = x[rs1 as usize].wrapping_add(imm) as u32;
                 let v = x[rs2 as usize];
                 match width {
@@ -184,7 +206,13 @@ pub fn run(prog: &Rv32Program, fuel: u64) -> Result<RefOutcome, RefError> {
                 wr(&mut x, rd, v);
             }
             Rv32Inst::Ecall => {
-                return Ok(RefOutcome { exit: x[10], steps, stores, mem, kinds });
+                return Ok(RefOutcome {
+                    exit: x[10],
+                    steps,
+                    stores,
+                    mem,
+                    kinds,
+                });
             }
         }
         pc = next;
@@ -250,11 +278,7 @@ mod tests {
 
     #[test]
     fn sh_records_two_byte_events() {
-        let out = run_insts(&[
-            addi(1, 0, 0x2a1),
-            store(MemW::H, 0, 1, 8),
-            ecall(),
-        ]);
+        let out = run_insts(&[addi(1, 0, 0x2a1), store(MemW::H, 0, 1, 8), ecall()]);
         assert_eq!(out.stores, vec![(8, 0x2a1), (9, 0x2)]);
         assert_eq!(out.mem[8], 0xa1);
         assert_eq!(out.mem[9], 0x02);
@@ -271,6 +295,9 @@ mod tests {
     #[test]
     fn out_of_fuel_is_typed() {
         let p = Rv32Program::new(vec![rv32::encode(jal(0, 0))]);
-        assert!(matches!(run(&p, 100), Err(RefError::OutOfFuel { steps: 100 })));
+        assert!(matches!(
+            run(&p, 100),
+            Err(RefError::OutOfFuel { steps: 100 })
+        ));
     }
 }

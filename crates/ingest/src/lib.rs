@@ -220,18 +220,30 @@ mod tests {
 
     #[test]
     fn from_bytes_rejects_empty_images() {
-        assert_eq!(Rv32Program::from_bytes(&[]).unwrap_err(), IngestError::EmptyText);
+        assert_eq!(
+            Rv32Program::from_bytes(&[]).unwrap_err(),
+            IngestError::EmptyText
+        );
     }
 
     #[test]
     fn validate_rejects_bad_entries() {
         let mut p = Rv32Program::new(vec![0x0000_0013; 4]);
         p.entry = RV_TEXT_BASE + 2;
-        assert!(matches!(p.validate(), Err(IngestError::UnalignedEntry { .. })));
+        assert!(matches!(
+            p.validate(),
+            Err(IngestError::UnalignedEntry { .. })
+        ));
         p.entry = RV_TEXT_BASE + 16;
-        assert!(matches!(p.validate(), Err(IngestError::EntryOutOfRange { .. })));
+        assert!(matches!(
+            p.validate(),
+            Err(IngestError::EntryOutOfRange { .. })
+        ));
         p.entry = 0;
-        assert!(matches!(p.validate(), Err(IngestError::EntryOutOfRange { .. })));
+        assert!(matches!(
+            p.validate(),
+            Err(IngestError::EntryOutOfRange { .. })
+        ));
         p.entry = RV_TEXT_BASE;
         assert!(p.validate().is_ok());
     }
@@ -257,8 +269,14 @@ mod tests {
             IngestError::Truncated { bytes: 7 },
             IngestError::EmptyText,
             IngestError::UnalignedEntry { entry: 0x1002 },
-            IngestError::EntryOutOfRange { entry: 0, end: 0x1010 },
-            IngestError::BadWord { pc: 0x1000, word: 0xffff_ffff },
+            IngestError::EntryOutOfRange {
+                entry: 0,
+                end: 0x1010,
+            },
+            IngestError::BadWord {
+                pc: 0x1000,
+                word: 0xffff_ffff,
+            },
             IngestError::Unsupported {
                 pc: 0x1004,
                 word: 0x0000_100f,

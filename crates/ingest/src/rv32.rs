@@ -49,15 +49,53 @@ pub enum AluOp {
 /// exactly as the immediate encodes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rv32Inst {
-    Lui { rd: u8, imm20: i32 },
-    Auipc { rd: u8, imm20: i32 },
-    Jal { rd: u8, off: i32 },
-    Jalr { rd: u8, rs1: u8, imm: i32 },
-    Branch { cond: BrCond, rs1: u8, rs2: u8, off: i32 },
-    Load { width: MemW, rd: u8, rs1: u8, imm: i32 },
-    Store { width: MemW, rs1: u8, rs2: u8, imm: i32 },
-    AluImm { op: AluOp, rd: u8, rs1: u8, imm: i32 },
-    Alu { op: AluOp, rd: u8, rs1: u8, rs2: u8 },
+    Lui {
+        rd: u8,
+        imm20: i32,
+    },
+    Auipc {
+        rd: u8,
+        imm20: i32,
+    },
+    Jal {
+        rd: u8,
+        off: i32,
+    },
+    Jalr {
+        rd: u8,
+        rs1: u8,
+        imm: i32,
+    },
+    Branch {
+        cond: BrCond,
+        rs1: u8,
+        rs2: u8,
+        off: i32,
+    },
+    Load {
+        width: MemW,
+        rd: u8,
+        rs1: u8,
+        imm: i32,
+    },
+    Store {
+        width: MemW,
+        rs1: u8,
+        rs2: u8,
+        imm: i32,
+    },
+    AluImm {
+        op: AluOp,
+        rd: u8,
+        rs1: u8,
+        imm: i32,
+    },
+    Alu {
+        op: AluOp,
+        rd: u8,
+        rs1: u8,
+        rs2: u8,
+    },
     Ecall,
 }
 
@@ -70,10 +108,8 @@ pub const ALL_KINDS: [&str; 38] = [
     "beq", "bne", "blt", "bge", "bltu", "bgeu", // branches
     "lb", "lh", "lw", "lbu", "lhu", // loads
     "sb", "sh", "sw", // stores
-    "addi", "slti", "sltiu", "xori", "ori", "andi", "slli", "srli",
-    "srai", // ALU immediate
-    "add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or",
-    "and", // ALU register
+    "addi", "slti", "sltiu", "xori", "ori", "andi", "slli", "srli", "srai", // ALU immediate
+    "add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and", // ALU register
     "ecall",
 ];
 
@@ -182,7 +218,10 @@ fn imm_s(w: u32) -> i32 {
 }
 fn imm_b(w: u32) -> i32 {
     sext(
-        ((w >> 31) << 12) | (((w >> 7) & 1) << 11) | (((w >> 25) & 0x3f) << 5) | (((w >> 8) & 0xf) << 1),
+        ((w >> 31) << 12)
+            | (((w >> 7) & 1) << 11)
+            | (((w >> 25) & 0x3f) << 5)
+            | (((w >> 8) & 0xf) << 1),
         13,
     )
 }
@@ -205,14 +244,27 @@ pub fn decode_at(pc: u32, w: u32) -> Result<Rv32Inst, IngestError> {
     let bad = || IngestError::BadWord { pc, word: w };
     let unsupported = |what| IngestError::Unsupported { pc, word: w, what };
     match w & 0x7f {
-        0x37 => Ok(Rv32Inst::Lui { rd: rd(w), imm20: imm_u(w) }),
-        0x17 => Ok(Rv32Inst::Auipc { rd: rd(w), imm20: imm_u(w) }),
-        0x6f => Ok(Rv32Inst::Jal { rd: rd(w), off: imm_j(w) }),
+        0x37 => Ok(Rv32Inst::Lui {
+            rd: rd(w),
+            imm20: imm_u(w),
+        }),
+        0x17 => Ok(Rv32Inst::Auipc {
+            rd: rd(w),
+            imm20: imm_u(w),
+        }),
+        0x6f => Ok(Rv32Inst::Jal {
+            rd: rd(w),
+            off: imm_j(w),
+        }),
         0x67 => {
             if funct3(w) != 0 {
                 return Err(bad());
             }
-            Ok(Rv32Inst::Jalr { rd: rd(w), rs1: rs1(w), imm: imm_i(w) })
+            Ok(Rv32Inst::Jalr {
+                rd: rd(w),
+                rs1: rs1(w),
+                imm: imm_i(w),
+            })
         }
         0x63 => {
             let cond = match funct3(w) {
@@ -224,7 +276,12 @@ pub fn decode_at(pc: u32, w: u32) -> Result<Rv32Inst, IngestError> {
                 7 => BrCond::Geu,
                 _ => return Err(bad()),
             };
-            Ok(Rv32Inst::Branch { cond, rs1: rs1(w), rs2: rs2(w), off: imm_b(w) })
+            Ok(Rv32Inst::Branch {
+                cond,
+                rs1: rs1(w),
+                rs2: rs2(w),
+                off: imm_b(w),
+            })
         }
         0x03 => {
             let width = match funct3(w) {
@@ -235,7 +292,12 @@ pub fn decode_at(pc: u32, w: u32) -> Result<Rv32Inst, IngestError> {
                 5 => MemW::Hu,
                 _ => return Err(bad()),
             };
-            Ok(Rv32Inst::Load { width, rd: rd(w), rs1: rs1(w), imm: imm_i(w) })
+            Ok(Rv32Inst::Load {
+                width,
+                rd: rd(w),
+                rs1: rs1(w),
+                imm: imm_i(w),
+            })
         }
         0x23 => {
             let width = match funct3(w) {
@@ -244,7 +306,12 @@ pub fn decode_at(pc: u32, w: u32) -> Result<Rv32Inst, IngestError> {
                 2 => MemW::W,
                 _ => return Err(bad()),
             };
-            Ok(Rv32Inst::Store { width, rs1: rs1(w), rs2: rs2(w), imm: imm_s(w) })
+            Ok(Rv32Inst::Store {
+                width,
+                rs1: rs1(w),
+                rs2: rs2(w),
+                imm: imm_s(w),
+            })
         }
         0x13 => {
             let (op, imm) = match funct3(w) {
@@ -267,7 +334,12 @@ pub fn decode_at(pc: u32, w: u32) -> Result<Rv32Inst, IngestError> {
                 },
                 _ => unreachable!(),
             };
-            Ok(Rv32Inst::AluImm { op, rd: rd(w), rs1: rs1(w), imm })
+            Ok(Rv32Inst::AluImm {
+                op,
+                rd: rd(w),
+                rs1: rs1(w),
+                imm,
+            })
         }
         0x33 => {
             let op = match (funct7(w), funct3(w)) {
@@ -284,7 +356,12 @@ pub fn decode_at(pc: u32, w: u32) -> Result<Rv32Inst, IngestError> {
                 (0x01, _) => return Err(unsupported("M extension (mul/div)")),
                 _ => return Err(bad()),
             };
-            Ok(Rv32Inst::Alu { op, rd: rd(w), rs1: rs1(w), rs2: rs2(w) })
+            Ok(Rv32Inst::Alu {
+                op,
+                rd: rd(w),
+                rs1: rs1(w),
+                rs2: rs2(w),
+            })
         }
         0x73 => match w {
             0x0000_0073 => Ok(Rv32Inst::Ecall),
@@ -309,17 +386,30 @@ pub fn encode(inst: Rv32Inst) -> u32 {
         v as u32
     };
     let enc_i = |op: u32, f3: u32, rd: u8, rs1: u8, imm: i32| {
-        assert!((-2048..=2047).contains(&imm), "I-immediate {imm} out of range");
+        assert!(
+            (-2048..=2047).contains(&imm),
+            "I-immediate {imm} out of range"
+        );
         ((imm as u32 & 0xfff) << 20) | (r(rs1) << 15) | (f3 << 12) | (r(rd) << 7) | op
     };
     match inst {
         Rv32Inst::Lui { rd, imm20 } | Rv32Inst::Auipc { rd, imm20 } => {
-            assert!((0..=0xf_ffff).contains(&imm20), "U-immediate {imm20:#x} out of range");
-            let op = if matches!(inst, Rv32Inst::Lui { .. }) { 0x37 } else { 0x17 };
+            assert!(
+                (0..=0xf_ffff).contains(&imm20),
+                "U-immediate {imm20:#x} out of range"
+            );
+            let op = if matches!(inst, Rv32Inst::Lui { .. }) {
+                0x37
+            } else {
+                0x17
+            };
             ((imm20 as u32) << 12) | (r(rd) << 7) | op
         }
         Rv32Inst::Jal { rd, off } => {
-            assert!(off % 2 == 0 && (-(1 << 20)..(1 << 20)).contains(&off), "J-offset {off} out of range");
+            assert!(
+                off % 2 == 0 && (-(1 << 20)..(1 << 20)).contains(&off),
+                "J-offset {off} out of range"
+            );
             let o = off as u32;
             ((o >> 20 & 1) << 31)
                 | ((o >> 1 & 0x3ff) << 21)
@@ -329,8 +419,16 @@ pub fn encode(inst: Rv32Inst) -> u32 {
                 | 0x6f
         }
         Rv32Inst::Jalr { rd, rs1, imm } => enc_i(0x67, 0, rd, rs1, imm),
-        Rv32Inst::Branch { cond, rs1, rs2, off } => {
-            assert!(off % 2 == 0 && (-4096..4096).contains(&off), "B-offset {off} out of range");
+        Rv32Inst::Branch {
+            cond,
+            rs1,
+            rs2,
+            off,
+        } => {
+            assert!(
+                off % 2 == 0 && (-4096..4096).contains(&off),
+                "B-offset {off} out of range"
+            );
             let f3 = match cond {
                 BrCond::Eq => 0,
                 BrCond::Ne => 1,
@@ -349,7 +447,12 @@ pub fn encode(inst: Rv32Inst) -> u32 {
                 | ((o >> 11 & 1) << 7)
                 | 0x63
         }
-        Rv32Inst::Load { width, rd, rs1, imm } => {
+        Rv32Inst::Load {
+            width,
+            rd,
+            rs1,
+            imm,
+        } => {
             let f3 = match width {
                 MemW::B => 0,
                 MemW::H => 1,
@@ -359,8 +462,16 @@ pub fn encode(inst: Rv32Inst) -> u32 {
             };
             enc_i(0x03, f3, rd, rs1, imm)
         }
-        Rv32Inst::Store { width, rs1, rs2, imm } => {
-            assert!((-2048..=2047).contains(&imm), "S-immediate {imm} out of range");
+        Rv32Inst::Store {
+            width,
+            rs1,
+            rs2,
+            imm,
+        } => {
+            assert!(
+                (-2048..=2047).contains(&imm),
+                "S-immediate {imm} out of range"
+            );
             let f3 = match width {
                 MemW::B => 0,
                 MemW::H => 1,
@@ -423,31 +534,76 @@ pub mod asm {
     use super::*;
 
     pub fn addi(rd: u8, rs1: u8, imm: i32) -> Rv32Inst {
-        Rv32Inst::AluImm { op: AluOp::Add, rd, rs1, imm }
+        Rv32Inst::AluImm {
+            op: AluOp::Add,
+            rd,
+            rs1,
+            imm,
+        }
     }
     pub fn slti(rd: u8, rs1: u8, imm: i32) -> Rv32Inst {
-        Rv32Inst::AluImm { op: AluOp::Slt, rd, rs1, imm }
+        Rv32Inst::AluImm {
+            op: AluOp::Slt,
+            rd,
+            rs1,
+            imm,
+        }
     }
     pub fn sltiu(rd: u8, rs1: u8, imm: i32) -> Rv32Inst {
-        Rv32Inst::AluImm { op: AluOp::Sltu, rd, rs1, imm }
+        Rv32Inst::AluImm {
+            op: AluOp::Sltu,
+            rd,
+            rs1,
+            imm,
+        }
     }
     pub fn xori(rd: u8, rs1: u8, imm: i32) -> Rv32Inst {
-        Rv32Inst::AluImm { op: AluOp::Xor, rd, rs1, imm }
+        Rv32Inst::AluImm {
+            op: AluOp::Xor,
+            rd,
+            rs1,
+            imm,
+        }
     }
     pub fn ori(rd: u8, rs1: u8, imm: i32) -> Rv32Inst {
-        Rv32Inst::AluImm { op: AluOp::Or, rd, rs1, imm }
+        Rv32Inst::AluImm {
+            op: AluOp::Or,
+            rd,
+            rs1,
+            imm,
+        }
     }
     pub fn andi(rd: u8, rs1: u8, imm: i32) -> Rv32Inst {
-        Rv32Inst::AluImm { op: AluOp::And, rd, rs1, imm }
+        Rv32Inst::AluImm {
+            op: AluOp::And,
+            rd,
+            rs1,
+            imm,
+        }
     }
     pub fn slli(rd: u8, rs1: u8, sh: i32) -> Rv32Inst {
-        Rv32Inst::AluImm { op: AluOp::Sll, rd, rs1, imm: sh }
+        Rv32Inst::AluImm {
+            op: AluOp::Sll,
+            rd,
+            rs1,
+            imm: sh,
+        }
     }
     pub fn srli(rd: u8, rs1: u8, sh: i32) -> Rv32Inst {
-        Rv32Inst::AluImm { op: AluOp::Srl, rd, rs1, imm: sh }
+        Rv32Inst::AluImm {
+            op: AluOp::Srl,
+            rd,
+            rs1,
+            imm: sh,
+        }
     }
     pub fn srai(rd: u8, rs1: u8, sh: i32) -> Rv32Inst {
-        Rv32Inst::AluImm { op: AluOp::Sra, rd, rs1, imm: sh }
+        Rv32Inst::AluImm {
+            op: AluOp::Sra,
+            rd,
+            rs1,
+            imm: sh,
+        }
     }
     pub fn alu(op: AluOp, rd: u8, rs1: u8, rs2: u8) -> Rv32Inst {
         Rv32Inst::Alu { op, rd, rs1, rs2 }
@@ -495,7 +651,12 @@ pub mod asm {
         Rv32Inst::Jalr { rd, rs1, imm }
     }
     pub fn load(width: MemW, rd: u8, rs1: u8, imm: i32) -> Rv32Inst {
-        Rv32Inst::Load { width, rd, rs1, imm }
+        Rv32Inst::Load {
+            width,
+            rd,
+            rs1,
+            imm,
+        }
     }
     pub fn lw(rd: u8, rs1: u8, imm: i32) -> Rv32Inst {
         load(MemW::W, rd, rs1, imm)
@@ -513,7 +674,12 @@ pub mod asm {
         load(MemW::Hu, rd, rs1, imm)
     }
     pub fn store(width: MemW, rs1: u8, rs2: u8, imm: i32) -> Rv32Inst {
-        Rv32Inst::Store { width, rs1, rs2, imm }
+        Rv32Inst::Store {
+            width,
+            rs1,
+            rs2,
+            imm,
+        }
     }
     pub fn sw(rs1: u8, rs2: u8, imm: i32) -> Rv32Inst {
         store(MemW::W, rs1, rs2, imm)
@@ -539,11 +705,22 @@ pub struct Label(usize);
 
 enum Item {
     Inst(Rv32Inst),
-    BranchTo { cond: BrCond, rs1: u8, rs2: u8, label: Label },
-    JalTo { rd: u8, label: Label },
+    BranchTo {
+        cond: BrCond,
+        rs1: u8,
+        rs2: u8,
+        label: Label,
+    },
+    JalTo {
+        rd: u8,
+        label: Label,
+    },
     /// `auipc rd, hi` + `addi rd, rd, lo` materialising the label's
     /// absolute address (two words).
-    La { rd: u8, label: Label },
+    La {
+        rd: u8,
+        label: Label,
+    },
 }
 
 impl Item {
@@ -586,7 +763,12 @@ impl Rv32Builder {
     }
 
     pub fn br(&mut self, cond: BrCond, rs1: u8, rs2: u8, label: Label) {
-        self.items.push(Item::BranchTo { cond, rs1, rs2, label });
+        self.items.push(Item::BranchTo {
+            cond,
+            rs1,
+            rs2,
+            label,
+        });
     }
 
     pub fn jal_to(&mut self, rd: u8, label: Label) {
@@ -629,11 +811,24 @@ impl Rv32Builder {
             let pc = RV_TEXT_BASE as i32 + 4 * pos[i] as i32;
             match *item {
                 Item::Inst(inst) => words.push(encode(inst)),
-                Item::BranchTo { cond, rs1, rs2, label } => {
-                    words.push(encode(Rv32Inst::Branch { cond, rs1, rs2, off: target(label) - pc }));
+                Item::BranchTo {
+                    cond,
+                    rs1,
+                    rs2,
+                    label,
+                } => {
+                    words.push(encode(Rv32Inst::Branch {
+                        cond,
+                        rs1,
+                        rs2,
+                        off: target(label) - pc,
+                    }));
                 }
                 Item::JalTo { rd, label } => {
-                    words.push(encode(Rv32Inst::Jal { rd, off: target(label) - pc }));
+                    words.push(encode(Rv32Inst::Jal {
+                        rd,
+                        off: target(label) - pc,
+                    }));
                 }
                 Item::La { rd, label } => {
                     // Standard pc-relative hi/lo split: auipc takes the
@@ -644,7 +839,12 @@ impl Rv32Builder {
                     let lo = (delta << 20) >> 20;
                     let hi20 = (delta.wrapping_sub(lo) >> 12) & 0xf_ffff;
                     words.push(encode(Rv32Inst::Auipc { rd, imm20: hi20 }));
-                    words.push(encode(Rv32Inst::AluImm { op: AluOp::Add, rd, rs1: rd, imm: lo }));
+                    words.push(encode(Rv32Inst::AluImm {
+                        op: AluOp::Add,
+                        rd,
+                        rs1: rd,
+                        imm: lo,
+                    }));
                 }
             }
         }
@@ -660,18 +860,18 @@ mod tests {
     fn decode_encode_roundtrip_on_known_words() {
         // Hand-checked encodings from the RISC-V spec examples.
         let cases: &[(u32, &str)] = &[
-            (0x0010_0093, "addi"),  // addi x1, x0, 1
-            (0x0000_0013, "addi"),  // nop
-            (0xfff0_0113, "addi"),  // addi x2, x0, -1
-            (0x0020_8463, "beq"),   // beq x1, x2, +8
+            (0x0010_0093, "addi"), // addi x1, x0, 1
+            (0x0000_0013, "addi"), // nop
+            (0xfff0_0113, "addi"), // addi x2, x0, -1
+            (0x0020_8463, "beq"),  // beq x1, x2, +8
             (0x0000_0073, "ecall"),
-            (0x0040_0167, "jalr"),  // jalr x2, x0, 4
-            (0x0180_00ef, "jal"),   // jal x1, +24
-            (0x4020_d193, "srai"),  // srai x3, x1, 2
-            (0x4020_8233, "sub"),   // sub x4, x1, x2
-            (0x0001_22b7, "lui"),   // lui x5, 0x12
-            (0x0050_a303, "lw"),    // lw x6, 5(x1)
-            (0x0062_a423, "sw"),    // sw x6, 8(x5)
+            (0x0040_0167, "jalr"), // jalr x2, x0, 4
+            (0x0180_00ef, "jal"),  // jal x1, +24
+            (0x4020_d193, "srai"), // srai x3, x1, 2
+            (0x4020_8233, "sub"),  // sub x4, x1, x2
+            (0x0001_22b7, "lui"),  // lui x5, 0x12
+            (0x0050_a303, "lw"),   // lw x6, 5(x1)
+            (0x0062_a423, "sw"),   // sw x6, 8(x5)
         ];
         for &(w, name) in cases {
             let i = decode(w).unwrap();
@@ -683,10 +883,24 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip_exhaustive_fields() {
         use asm::*;
-        let mut insts = vec![ecall(), lui(31, 0xf_ffff), auipc(1, 0), jal(0, -4), jal(1, 1 << 19)];
+        let mut insts = vec![
+            ecall(),
+            lui(31, 0xf_ffff),
+            auipc(1, 0),
+            jal(0, -4),
+            jal(1, 1 << 19),
+        ];
         for op in [
-            AluOp::Add, AluOp::Sub, AluOp::Sll, AluOp::Slt, AluOp::Sltu,
-            AluOp::Xor, AluOp::Srl, AluOp::Sra, AluOp::Or, AluOp::And,
+            AluOp::Add,
+            AluOp::Sub,
+            AluOp::Sll,
+            AluOp::Slt,
+            AluOp::Sltu,
+            AluOp::Xor,
+            AluOp::Srl,
+            AluOp::Sra,
+            AluOp::Or,
+            AluOp::And,
         ] {
             insts.push(alu(op, 5, 6, 7));
         }
@@ -696,12 +910,31 @@ mod tests {
         for w in [MemW::B, MemW::H, MemW::W] {
             insts.push(store(w, 10, 11, 2047));
         }
-        for c in [BrCond::Eq, BrCond::Ne, BrCond::Lt, BrCond::Ge, BrCond::Ltu, BrCond::Geu] {
-            insts.push(Rv32Inst::Branch { cond: c, rs1: 1, rs2: 2, off: -4096 });
+        for c in [
+            BrCond::Eq,
+            BrCond::Ne,
+            BrCond::Lt,
+            BrCond::Ge,
+            BrCond::Ltu,
+            BrCond::Geu,
+        ] {
+            insts.push(Rv32Inst::Branch {
+                cond: c,
+                rs1: 1,
+                rs2: 2,
+                off: -4096,
+            });
         }
         insts.extend([
-            addi(1, 2, -7), slti(1, 2, 11), sltiu(1, 2, -1), xori(1, 2, 0x7ff),
-            ori(1, 2, -2048), andi(1, 2, 255), slli(1, 2, 31), srli(1, 2, 0), srai(1, 2, 13),
+            addi(1, 2, -7),
+            slti(1, 2, 11),
+            sltiu(1, 2, -1),
+            xori(1, 2, 0x7ff),
+            ori(1, 2, -2048),
+            andi(1, 2, 255),
+            slli(1, 2, 31),
+            srli(1, 2, 0),
+            srai(1, 2, 13),
             jalr(1, 2, -3),
         ]);
         for i in insts {
@@ -713,7 +946,13 @@ mod tests {
     fn decode_rejects_reserved_encodings() {
         // funct3=2 branch, funct3=3 load, funct7 garbage on add/srai,
         // unknown major opcode.
-        for w in [0x0000_2063u32, 0x0000_3003, 0x4000_4033, 0x1000_5013, 0x0000_00ff] {
+        for w in [
+            0x0000_2063u32,
+            0x0000_3003,
+            0x4000_4033,
+            0x1000_5013,
+            0x0000_00ff,
+        ] {
             assert!(
                 matches!(decode(w), Err(IngestError::BadWord { .. })),
                 "{w:#010x} should be BadWord"
@@ -769,14 +1008,36 @@ mod tests {
         b.push(ecall());
         let p = b.finish();
         // beq at word 2 jumps to word 4 (+8); jal at word 3 back to word 1.
-        assert_eq!(decode(p.words[2]).unwrap(), Rv32Inst::Branch { cond: BrCond::Eq, rs1: 1, rs2: 0, off: 8 });
-        assert_eq!(decode(p.words[3]).unwrap(), Rv32Inst::Jal { rd: 0, off: -8 });
+        assert_eq!(
+            decode(p.words[2]).unwrap(),
+            Rv32Inst::Branch {
+                cond: BrCond::Eq,
+                rs1: 1,
+                rs2: 0,
+                off: 8
+            }
+        );
+        assert_eq!(
+            decode(p.words[3]).unwrap(),
+            Rv32Inst::Jal { rd: 0, off: -8 }
+        );
         // la expands to auipc+addi whose sum is the label's absolute address.
         let pc = RV_TEXT_BASE as i32 + 16;
         let (hi, lo) = match (decode(p.words[4]).unwrap(), decode(p.words[5]).unwrap()) {
-            (Rv32Inst::Auipc { rd: 2, imm20 }, Rv32Inst::AluImm { op: AluOp::Add, rd: 2, rs1: 2, imm }) => (imm20, imm),
+            (
+                Rv32Inst::Auipc { rd: 2, imm20 },
+                Rv32Inst::AluImm {
+                    op: AluOp::Add,
+                    rd: 2,
+                    rs1: 2,
+                    imm,
+                },
+            ) => (imm20, imm),
             other => panic!("unexpected la expansion {other:?}"),
         };
-        assert_eq!(pc.wrapping_add(hi << 12).wrapping_add(lo), RV_TEXT_BASE as i32 + 16);
+        assert_eq!(
+            pc.wrapping_add(hi << 12).wrapping_add(lo),
+            RV_TEXT_BASE as i32 + 16
+        );
     }
 }

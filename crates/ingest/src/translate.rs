@@ -104,7 +104,12 @@ impl Tx {
 
     fn load(&mut self, base: Operand, off: i32, width: Width) -> Operand {
         let dst = self.b.new_vreg(RegClass::Int);
-        self.b.push(Inst::Load { dst, base, off, width });
+        self.b.push(Inst::Load {
+            dst,
+            base,
+            off,
+            width,
+        });
         Operand::Reg(dst)
     }
 
@@ -140,7 +145,12 @@ impl Tx {
                 self.set(rd, Operand::Const(pc + 4));
                 self.b.terminate(Inst::Jump(self.disp_bb));
             }
-            Rv32Inst::Branch { cond, rs1, rs2, off } => {
+            Rv32Inst::Branch {
+                cond,
+                rs1,
+                rs2,
+                off,
+            } => {
                 let (mut a, mut b) = (self.rv(rs1), self.rv(rs2));
                 let cond = match cond {
                     BrCond::Eq => Cond::Eq,
@@ -167,7 +177,12 @@ impl Tx {
                     else_bb: next,
                 });
             }
-            Rv32Inst::Load { width, rd, rs1, imm } => {
+            Rv32Inst::Load {
+                width,
+                rd,
+                rs1,
+                imm,
+            } => {
                 if rd != 0 {
                     let v = match width {
                         MemW::W => {
@@ -200,7 +215,12 @@ impl Tx {
                 }
                 self.b.terminate(Inst::Jump(next));
             }
-            Rv32Inst::Store { width, rs1, rs2, imm } => {
+            Rv32Inst::Store {
+                width,
+                rs1,
+                rs2,
+                imm,
+            } => {
                 match width {
                     MemW::W => {
                         let addr = self.guest_addr(rs1, imm, RV_MEM_BYTES - 4);
@@ -405,7 +425,10 @@ mod tests {
             Err(IngestError::BadWord { pc: 0x1000, .. })
         ));
         let p = Rv32Program::new(vec![0x0000_000f]);
-        assert!(matches!(translate(&p), Err(IngestError::Unsupported { .. })));
+        assert!(matches!(
+            translate(&p),
+            Err(IngestError::Unsupported { .. })
+        ));
     }
 
     #[test]
@@ -461,11 +484,11 @@ mod tests {
     fn jalr_dispatch_and_trap_match_reference() {
         // Call a leaf via jal, return via jalr x0,x1; then a wild jalr traps.
         let insts = [
-            jal(1, 12),        // call +12 (the leaf)
-            jalr(0, 5, 0),     // x5 = 0 -> trap
-            ecall(),           // unreachable
-            addi(10, 0, 9),    // leaf: a0 = 9
-            jalr(0, 1, 0),     // return to pc 4
+            jal(1, 12),     // call +12 (the leaf)
+            jalr(0, 5, 0),  // x5 = 0 -> trap
+            ecall(),        // unreachable
+            addi(10, 0, 9), // leaf: a0 = 9
+            jalr(0, 1, 0),  // return to pc 4
         ];
         let (ir, r) = both_exits(&insts);
         assert_eq!(ir, r);
@@ -488,7 +511,15 @@ mod tests {
             .blocks
             .iter()
             .flat_map(|b| &b.insts)
-            .filter(|i| matches!(i, Inst::Store { width: Width::Byte, .. }))
+            .filter(|i| {
+                matches!(
+                    i,
+                    Inst::Store {
+                        width: Width::Byte,
+                        ..
+                    }
+                )
+            })
             .count();
         assert_eq!(byte_stores, 2);
     }

@@ -235,7 +235,11 @@ mod tests {
             let r = interp::run(&prog, 1 << 22).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(ir, r.exit, "{name} exit mismatch");
             assert_ne!(r.exit, TRAP_EXIT, "{name} trapped");
-            assert!(r.steps > 100, "{name} suspiciously short ({} steps)", r.steps);
+            assert!(
+                r.steps > 100,
+                "{name} suspiciously short ({} steps)",
+                r.steps
+            );
         }
     }
 

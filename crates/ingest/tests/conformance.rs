@@ -44,14 +44,14 @@ fn corpus() -> Vec<(&'static str, Rv32Program)> {
         "alu-imm",
         prog(&[
             addi(5, 0, 100),
-            slti(6, 5, 101),  // 1
-            sltiu(7, 5, 99),  // 0
-            xori(8, 5, 0xff), // 27
-            ori(9, 8, 0x10),  // 27
+            slti(6, 5, 101),   // 1
+            sltiu(7, 5, 99),   // 0
+            xori(8, 5, 0xff),  // 27
+            ori(9, 8, 0x10),   // 27
             andi(11, 9, 0x7f), // 27
-            slli(12, 5, 3),   // 800
-            srli(13, 12, 1),  // 400
-            srai(14, 13, 2),  // 100
+            slli(12, 5, 3),    // 800
+            srli(13, 12, 1),   // 400
+            srai(14, 13, 2),   // 100
             add(10, 6, 7),
             add(10, 10, 11),
             add(10, 10, 14),
@@ -65,16 +65,16 @@ fn corpus() -> Vec<(&'static str, Rv32Program)> {
         prog(&[
             addi(5, 0, -7),
             addi(6, 0, 3),
-            add(7, 5, 6),    // -4
-            sub(8, 5, 6),    // -10
-            sll(9, 6, 6),    // 24
-            slt(11, 5, 6),   // 1   (signed)
-            sltu(12, 5, 6),  // 0   (-7 wraps huge)
-            xor(13, 5, 6),   // -6
-            srl(14, 5, 6),   // 0x1ffffffe
-            sra(15, 5, 6),   // -1
-            or(16, 5, 6),    // -5
-            and(17, 5, 6),   // 1
+            add(7, 5, 6),   // -4
+            sub(8, 5, 6),   // -10
+            sll(9, 6, 6),   // 24
+            slt(11, 5, 6),  // 1   (signed)
+            sltu(12, 5, 6), // 0   (-7 wraps huge)
+            xor(13, 5, 6),  // -6
+            srl(14, 5, 6),  // 0x1ffffffe
+            sra(15, 5, 6),  // -1
+            or(16, 5, 6),   // -5
+            and(17, 5, 6),  // 1
             add(10, 11, 12),
             add(10, 10, 15),
             add(10, 10, 17),
@@ -104,7 +104,7 @@ fn corpus() -> Vec<(&'static str, Rv32Program)> {
         for (cond, a, c) in [
             (BrCond::Eq, 5u8, 5u8),
             (BrCond::Ne, 5, 6),
-            (BrCond::Lt, 7, 5),  // -1 < 1 signed
+            (BrCond::Lt, 7, 5), // -1 < 1 signed
             (BrCond::Ge, 6, 5),
             (BrCond::Ltu, 5, 7), // 1 < 0xffffffff unsigned
             (BrCond::Geu, 7, 6), // 0xffffffff >= 2 unsigned
@@ -135,7 +135,7 @@ fn corpus() -> Vec<(&'static str, Rv32Program)> {
             lh(8, 0, 8),  // -2
             lhu(9, 0, 8), // 0xfffe
             sw(0, 5, 12),
-            lw(11, 0, 12), // -2
+            lw(11, 0, 12),   // -2
             add(10, 6, 7),   // 252
             add(10, 10, 8),  // 250
             add(10, 10, 9),  // 65784
@@ -151,7 +151,7 @@ fn corpus() -> Vec<(&'static str, Rv32Program)> {
         b.push(addi(5, 0, 30));
         b.jal_to(1, leaf);
         b.push(add(10, 10, 5)); // runs after return: 12 + 30
-        b.push(ecall());        // 42
+        b.push(ecall()); // 42
         b.bind(leaf);
         b.push(addi(10, 0, 12));
         b.push(jalr(0, 1, 0));
@@ -205,8 +205,8 @@ fn sltu_at_the_sign_boundary() {
         &prog(&[
             lui(5, 0x80000),
             addi(6, 0, 1),
-            slt(7, 5, 6),  // 1: signed MIN < 1
-            sltu(8, 5, 6), // 0: 0x80000000 not < 1
+            slt(7, 5, 6),    // 1: signed MIN < 1
+            sltu(8, 5, 6),   // 0: 0x80000000 not < 1
             sltiu(9, 5, -1), // 1: imm sign-extends to 0xffffffff, MIN < it
             add(10, 7, 8),
             add(10, 10, 9),
@@ -275,7 +275,7 @@ fn srai_vs_srli_on_negative_input() {
         "sra-srl",
         &prog(&[
             addi(5, 0, -16),
-            srai(6, 5, 2), // -4
+            srai(6, 5, 2),  // -4
             srli(7, 5, 28), // 0xf
             add(10, 6, 7),
             ecall(), // 11

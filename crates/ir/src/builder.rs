@@ -286,8 +286,12 @@ mod tests {
         assert_eq!(f.blocks.len(), 4);
         let mut m = crate::Module::new();
         m.add_function(f);
-        let lt = crate::interp::Interpreter::new(&m).run("lt", &[5, 9]).unwrap();
-        let ge = crate::interp::Interpreter::new(&m).run("lt", &[9, 5]).unwrap();
+        let lt = crate::interp::Interpreter::new(&m)
+            .run("lt", &[5, 9])
+            .unwrap();
+        let ge = crate::interp::Interpreter::new(&m)
+            .run("lt", &[9, 5])
+            .unwrap();
         assert_eq!((lt, ge), (1, 0));
     }
 

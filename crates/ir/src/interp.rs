@@ -528,7 +528,12 @@ mod tests {
         b.switch_to(basecase);
         b.terminate(Inst::Ret(Some(Operand::Const(1))));
         b.switch_to(rec);
-        let nm1 = b.bin(BinOp::Sub, RegClass::Int, Operand::Reg(n), Operand::Const(1));
+        let nm1 = b.bin(
+            BinOp::Sub,
+            RegClass::Int,
+            Operand::Reg(n),
+            Operand::Const(1),
+        );
         let r = b.new_vreg(RegClass::Int);
         b.push(Inst::Call {
             dst: Some(r),
@@ -614,7 +619,12 @@ mod tests {
         b.switch_to(base);
         b.terminate(Inst::Ret(Some(Operand::Const(0))));
         b.switch_to(rec);
-        let nm1 = b.bin(BinOp::Sub, RegClass::Int, Operand::Reg(n), Operand::Const(1));
+        let nm1 = b.bin(
+            BinOp::Sub,
+            RegClass::Int,
+            Operand::Reg(n),
+            Operand::Const(1),
+        );
         let r = b.new_vreg(RegClass::Int);
         b.push(Inst::Call {
             dst: Some(r),
@@ -628,7 +638,12 @@ mod tests {
             off: 0,
             width: Width::Word,
         });
-        let sum = b.bin(BinOp::Add, RegClass::Int, Operand::Reg(r), Operand::Reg(saved));
+        let sum = b.bin(
+            BinOp::Add,
+            RegClass::Int,
+            Operand::Reg(r),
+            Operand::Reg(saved),
+        );
         b.terminate(Inst::Ret(Some(Operand::Reg(sum))));
         m.define_function(fid, b.finish());
         // 1+2+..+5 = 15
@@ -662,7 +677,12 @@ mod tests {
     fn divide_by_zero_is_an_error() {
         let m = module_with_main(|_| {
             let mut b = FuncBuilder::new("main", Ty::Int, vec![]);
-            let v = b.bin(BinOp::Div, RegClass::Int, Operand::Const(1), Operand::Const(0));
+            let v = b.bin(
+                BinOp::Div,
+                RegClass::Int,
+                Operand::Const(1),
+                Operand::Const(0),
+            );
             b.terminate(Inst::Ret(Some(Operand::Reg(v))));
             b.finish()
         });

@@ -247,9 +247,11 @@ mod tests {
 
     #[test]
     fn self_loop() {
-        let (cfg, dom) = func(vec![vec![Inst::Jump(BlockId(1))], vec![branch(1, 2)], vec![
-            Inst::Ret(None),
-        ]]);
+        let (cfg, dom) = func(vec![
+            vec![Inst::Jump(BlockId(1))],
+            vec![branch(1, 2)],
+            vec![Inst::Ret(None)],
+        ]);
         let lf = LoopForest::new(&cfg, &dom);
         assert_eq!(lf.loops.len(), 1);
         assert_eq!(lf.loops[0].body.len(), 1);

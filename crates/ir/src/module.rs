@@ -259,10 +259,7 @@ impl Module {
     }
 
     fn intern(&mut self, name: String, sym: Symbol) -> SymId {
-        assert!(
-            !self.by_name.contains_key(&name),
-            "duplicate symbol {name}"
-        );
+        assert!(!self.by_name.contains_key(&name), "duplicate symbol {name}");
         let id = SymId(self.symbols.len() as u32);
         self.by_name.insert(name.clone(), id);
         self.symbols.push((name, sym));

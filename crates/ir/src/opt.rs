@@ -117,7 +117,11 @@ pub fn fold_branches(f: &mut Function) -> bool {
                 changed = true;
             } else if !*float {
                 if let (Operand::Const(x), Operand::Const(y)) = (*a, *rhs) {
-                    let t = if cond.eval_int(x, y) { *then_bb } else { *else_bb };
+                    let t = if cond.eval_int(x, y) {
+                        *then_bb
+                    } else {
+                        *else_bb
+                    };
                     *last = Inst::Jump(t);
                     changed = true;
                 }
@@ -245,7 +249,12 @@ mod tests {
             dst: y,
             a: Operand::Reg(x),
         });
-        let z = b.bin(BinOp::Add, RegClass::Int, Operand::Reg(y), Operand::Const(1));
+        let z = b.bin(
+            BinOp::Add,
+            RegClass::Int,
+            Operand::Reg(y),
+            Operand::Const(1),
+        );
         b.terminate(Inst::Ret(Some(Operand::Reg(z))));
         let mut f = b.finish();
         optimize(&mut f);
@@ -294,7 +303,12 @@ mod tests {
             a: Operand::Reg(x),
             b: Operand::Const(5),
         });
-        let z = b.bin(BinOp::Add, RegClass::Int, Operand::Reg(y), Operand::Const(1));
+        let z = b.bin(
+            BinOp::Add,
+            RegClass::Int,
+            Operand::Reg(y),
+            Operand::Const(1),
+        );
         b.terminate(Inst::Ret(Some(Operand::Reg(z))));
         let mut f = b.finish();
         let src = f.clone();

@@ -98,7 +98,11 @@ pub enum AsmError {
     /// A relocation referenced an unknown symbol.
     Undefined(String),
     /// An instruction failed to encode.
-    Encode { func: String, index: usize, err: EncodeError },
+    Encode {
+        func: String,
+        index: usize,
+        err: EncodeError,
+    },
     /// A relocation was attached to an instruction it cannot patch.
     BadReloc { func: String, index: usize },
     /// No `main` function was provided.
@@ -115,7 +119,10 @@ impl fmt::Display for AsmError {
                 write!(f, "in {func} at item {index}: {err}")
             }
             AsmError::BadReloc { func, index } => {
-                write!(f, "in {func} at item {index}: relocation cannot patch instruction")
+                write!(
+                    f,
+                    "in {func} at item {index}: relocation cannot patch instruction"
+                )
             }
             AsmError::NoMain => write!(f, "program has no 'main' function"),
             AsmError::Image(e) => write!(f, "invalid image: {e}"),
@@ -219,14 +226,11 @@ impl AsmProgram {
                         let inst = match reloc {
                             None => *inst,
                             Some(r) => {
-                                let target =
-                                    self.resolve(r.sym(), &symbols, &labels[fi])?;
-                                apply_reloc(*inst, r, target, addr).ok_or(
-                                    AsmError::BadReloc {
-                                        func: f.name.clone(),
-                                        index: ii,
-                                    },
-                                )?
+                                let target = self.resolve(r.sym(), &symbols, &labels[fi])?;
+                                apply_reloc(*inst, r, target, addr).ok_or(AsmError::BadReloc {
+                                    func: f.name.clone(),
+                                    index: ii,
+                                })?
                             }
                         };
                         let w = encode(self.machine, inst).map_err(|err| AsmError::Encode {
@@ -433,12 +437,11 @@ mod tests {
         // machinery entirely; image validation must still catch it.
         let mut p = AsmProgram::new(Machine::Baseline);
         let mut f = ret42(Machine::Baseline);
-        f.items.insert(0, AsmItem::Inst(MInst::Ba { disp: 1000 }, None));
+        f.items
+            .insert(0, AsmItem::Inst(MInst::Ba { disp: 1000 }, None));
         p.funcs.push(f);
         match p.assemble() {
-            Err(AsmError::Image(crate::program::ImageError::BranchTargetOutOfRange {
-                ..
-            })) => {}
+            Err(AsmError::Image(crate::program::ImageError::BranchTargetOutOfRange { .. })) => {}
             other => panic!("expected image error, got {other:?}"),
         }
     }
@@ -471,10 +474,7 @@ mod tests {
         p.funcs.push(AsmFunc {
             name: "main".to_string(),
             items: vec![
-                AsmItem::Inst(
-                    MInst::Ba { disp: 0 },
-                    Some(Reloc::Disp(SymRef::Label(l))),
-                ),
+                AsmItem::Inst(MInst::Ba { disp: 0 }, Some(Reloc::Disp(SymRef::Label(l)))),
                 AsmItem::Inst(MInst::Nop { br: 0 }, None),
                 AsmItem::Label(l),
                 AsmItem::Inst(
@@ -503,10 +503,7 @@ mod tests {
         p.funcs.push(AsmFunc {
             name: "main".to_string(),
             items: vec![
-                AsmItem::Inst(
-                    MInst::Ba { disp: 0 },
-                    Some(Reloc::Disp(SymRef::Label(l))),
-                ),
+                AsmItem::Inst(MInst::Ba { disp: 0 }, Some(Reloc::Disp(SymRef::Label(l)))),
                 AsmItem::Inst(MInst::Nop { br: 0 }, None),
                 AsmItem::Label(l),
                 AsmItem::Inst(
@@ -669,7 +666,9 @@ mod tests {
         match (prog.fetch(abi::TEXT_BASE), prog.fetch(abi::TEXT_BASE + 4)) {
             (
                 Some(TextWord::Inst(MInst::Sethi { imm, .. })),
-                Some(TextWord::Inst(MInst::BMovR { off, bd: BReg(1), .. })),
+                Some(TextWord::Inst(MInst::BMovR {
+                    off, bd: BReg(1), ..
+                })),
             ) => {
                 assert_eq!((imm << 11) | *off as u32, main_addr);
             }

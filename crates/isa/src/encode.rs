@@ -180,24 +180,13 @@ impl Enc {
     fn f3(&self, op: u32, rd: u32, rs1: u32, src2: Src2, br: u32) -> Result<u32, EncodeError> {
         match self.m {
             Machine::Baseline => Ok(match src2 {
-                Src2::Reg(r) => {
-                    (op << 26) | (rd << 21) | (rs1 << 16) | self.reg(r)?
-                }
-                Src2::Imm(v) => {
-                    (op << 26) | (rd << 21) | (rs1 << 16) | (1 << 15) | self.imm(v)?
-                }
+                Src2::Reg(r) => (op << 26) | (rd << 21) | (rs1 << 16) | self.reg(r)?,
+                Src2::Imm(v) => (op << 26) | (rd << 21) | (rs1 << 16) | (1 << 15) | self.imm(v)?,
             }),
             Machine::BranchReg => Ok(match src2 {
-                Src2::Reg(r) => {
-                    (op << 26) | (rd << 22) | (rs1 << 18) | (self.reg(r)? << 3) | br
-                }
+                Src2::Reg(r) => (op << 26) | (rd << 22) | (rs1 << 18) | (self.reg(r)? << 3) | br,
                 Src2::Imm(v) => {
-                    (op << 26)
-                        | (rd << 22)
-                        | (rs1 << 18)
-                        | (1 << 17)
-                        | (self.imm(v)? << 3)
-                        | br
+                    (op << 26) | (rd << 22) | (rs1 << 18) | (1 << 17) | (self.imm(v)? << 3) | br
                 }
             }),
         }
@@ -275,13 +264,9 @@ pub fn encode(machine: Machine, inst: MInst) -> Result<u32, EncodeError> {
             };
             e.f3(op, e.reg(rd)?, e.reg(rs1)?, Src2::Imm(off), e.brf(br)?)
         }
-        MInst::LoadF { fd, rs1, off, br } => e.f3(
-            OP_LDF,
-            e.freg(fd)?,
-            e.reg(rs1)?,
-            Src2::Imm(off),
-            e.brf(br)?,
-        ),
+        MInst::LoadF { fd, rs1, off, br } => {
+            e.f3(OP_LDF, e.freg(fd)?, e.reg(rs1)?, Src2::Imm(off), e.brf(br)?)
+        }
         MInst::Store {
             w,
             rs,
@@ -295,13 +280,9 @@ pub fn encode(machine: Machine, inst: MInst) -> Result<u32, EncodeError> {
             };
             e.f3(op, e.reg(rs)?, e.reg(rs1)?, Src2::Imm(off), e.brf(br)?)
         }
-        MInst::StoreF { fs, rs1, off, br } => e.f3(
-            OP_STF,
-            e.freg(fs)?,
-            e.reg(rs1)?,
-            Src2::Imm(off),
-            e.brf(br)?,
-        ),
+        MInst::StoreF { fs, rs1, off, br } => {
+            e.f3(OP_STF, e.freg(fs)?, e.reg(rs1)?, Src2::Imm(off), e.brf(br)?)
+        }
         MInst::Fpu {
             op,
             fd,
@@ -315,34 +296,18 @@ pub fn encode(machine: Machine, inst: MInst) -> Result<u32, EncodeError> {
             Src2::Reg(Reg(fs2.0)),
             e.brf(br)?,
         ),
-        MInst::FMov { fd, fs, br } => e.f3(
-            OP_FMOV,
-            e.freg(fd)?,
-            e.freg(fs)?,
-            Src2::Imm(0),
-            e.brf(br)?,
-        ),
-        MInst::FNeg { fd, fs, br } => e.f3(
-            OP_FNEG,
-            e.freg(fd)?,
-            e.freg(fs)?,
-            Src2::Imm(0),
-            e.brf(br)?,
-        ),
-        MInst::ItoF { fd, rs, br } => e.f3(
-            OP_ITOF,
-            e.freg(fd)?,
-            e.reg(rs)?,
-            Src2::Imm(0),
-            e.brf(br)?,
-        ),
-        MInst::FtoI { rd, fs, br } => e.f3(
-            OP_FTOI,
-            e.reg(rd)?,
-            e.freg(fs)?,
-            Src2::Imm(0),
-            e.brf(br)?,
-        ),
+        MInst::FMov { fd, fs, br } => {
+            e.f3(OP_FMOV, e.freg(fd)?, e.freg(fs)?, Src2::Imm(0), e.brf(br)?)
+        }
+        MInst::FNeg { fd, fs, br } => {
+            e.f3(OP_FNEG, e.freg(fd)?, e.freg(fs)?, Src2::Imm(0), e.brf(br)?)
+        }
+        MInst::ItoF { fd, rs, br } => {
+            e.f3(OP_ITOF, e.freg(fd)?, e.reg(rs)?, Src2::Imm(0), e.brf(br)?)
+        }
+        MInst::FtoI { rd, fs, br } => {
+            e.f3(OP_FTOI, e.reg(rd)?, e.freg(fs)?, Src2::Imm(0), e.brf(br)?)
+        }
         MInst::Cmp { rs1, src2 } => {
             if !base {
                 return Err(EncodeError::WrongMachine);
@@ -464,11 +429,7 @@ pub fn encode(machine: Machine, inst: MInst) -> Result<u32, EncodeError> {
                 Src2::Reg(r) => e.reg(r)? << 3,
                 Src2::Imm(v) => (1 << 18) | (e.imm(v)? << 3),
             };
-            Ok((OP_BLOAD << 26)
-                | (e.breg(bd)? << 23)
-                | (e.reg(rs1)? << 19)
-                | body
-                | e.brf(br)?)
+            Ok((OP_BLOAD << 26) | (e.breg(bd)? << 23) | (e.reg(rs1)? << 19) | body | e.brf(br)?)
         }
         MInst::BStore { bs, rs1, off, br } => {
             if base {
@@ -739,7 +700,13 @@ mod tests {
                 br: 0,
             },
         );
-        roundtrip(m, MInst::Sethi { rd: Reg(29), imm: (1 << 21) - 1 });
+        roundtrip(
+            m,
+            MInst::Sethi {
+                rd: Reg(29),
+                imm: (1 << 21) - 1,
+            },
+        );
         roundtrip(
             m,
             MInst::Bcc {
@@ -765,7 +732,13 @@ mod tests {
                 src2: Src2::Imm(0),
             },
         );
-        roundtrip(m, MInst::FCmp { fs1: FReg(30), fs2: FReg(1) });
+        roundtrip(
+            m,
+            MInst::FCmp {
+                fs1: FReg(30),
+                fs2: FReg(1),
+            },
+        );
     }
 
     #[test]
@@ -782,7 +755,13 @@ mod tests {
                 br: 3,
             },
         );
-        roundtrip(m, MInst::Sethi { rd: Reg(13), imm: 0x1F_FFFF });
+        roundtrip(
+            m,
+            MInst::Sethi {
+                rd: Reg(13),
+                imm: 0x1F_FFFF,
+            },
+        );
         roundtrip(
             m,
             MInst::Bcalc {
@@ -821,7 +800,14 @@ mod tests {
                 br: 0,
             },
         );
-        roundtrip(m, MInst::BMovB { bd: BReg(1), bs: BReg(7), br: 2 });
+        roundtrip(
+            m,
+            MInst::BMovB {
+                bd: BReg(1),
+                bs: BReg(7),
+                br: 2,
+            },
+        );
         roundtrip(
             m,
             MInst::BMovR {
@@ -1055,12 +1041,59 @@ mod tests {
             let imm = arb_imm(&mut r, m);
             let disp = r.range(-(1i32 << 19), 1i32 << 19);
             let br = r.below(8) as u8;
-            roundtrip(m, MInst::Bcalc { bd: BReg(bd), disp, br });
-            roundtrip(m, MInst::CmpBr { cc, bt: BReg(bt), rs1, src2: Src2::Imm(imm), br });
-            roundtrip(m, MInst::BMovB { bd: BReg(bd), bs: BReg(bt), br });
-            roundtrip(m, MInst::BMovR { bd: BReg(bd), rs1, off: imm, br });
-            roundtrip(m, MInst::BStore { bs: BReg(bt), rs1, off: imm, br });
-            roundtrip(m, MInst::BLoad { bd: BReg(bd), rs1, src2: Src2::Reg(Reg(3)), br });
+            roundtrip(
+                m,
+                MInst::Bcalc {
+                    bd: BReg(bd),
+                    disp,
+                    br,
+                },
+            );
+            roundtrip(
+                m,
+                MInst::CmpBr {
+                    cc,
+                    bt: BReg(bt),
+                    rs1,
+                    src2: Src2::Imm(imm),
+                    br,
+                },
+            );
+            roundtrip(
+                m,
+                MInst::BMovB {
+                    bd: BReg(bd),
+                    bs: BReg(bt),
+                    br,
+                },
+            );
+            roundtrip(
+                m,
+                MInst::BMovR {
+                    bd: BReg(bd),
+                    rs1,
+                    off: imm,
+                    br,
+                },
+            );
+            roundtrip(
+                m,
+                MInst::BStore {
+                    bs: BReg(bt),
+                    rs1,
+                    off: imm,
+                    br,
+                },
+            );
+            roundtrip(
+                m,
+                MInst::BLoad {
+                    bd: BReg(bd),
+                    rs1,
+                    src2: Src2::Reg(Reg(3)),
+                    br,
+                },
+            );
         }
     }
 

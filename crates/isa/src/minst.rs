@@ -235,7 +235,12 @@ pub enum MInst {
         br: u8,
     },
     /// `fd = MF[rs1 + off]`.
-    LoadF { fd: FReg, rs1: Reg, off: i32, br: u8 },
+    LoadF {
+        fd: FReg,
+        rs1: Reg,
+        off: i32,
+        br: u8,
+    },
     /// `M[rs1 + off] = rs`.
     Store {
         w: MemWidth,
@@ -245,7 +250,12 @@ pub enum MInst {
         br: u8,
     },
     /// `MF[rs1 + off] = fs`.
-    StoreF { fs: FReg, rs1: Reg, off: i32, br: u8 },
+    StoreF {
+        fs: FReg,
+        rs1: Reg,
+        off: i32,
+        br: u8,
+    },
     /// `fd = fs1 op fs2`.
     Fpu {
         op: FpuOp,
@@ -301,12 +311,27 @@ pub enum MInst {
     BMovB { bd: BReg, bs: BReg, br: u8 },
     /// `b[bd] = rs1 + off` — move a computed address into a branch
     /// register (used with `sethi` for far targets such as calls).
-    BMovR { bd: BReg, rs1: Reg, off: i32, br: u8 },
+    BMovR {
+        bd: BReg,
+        rs1: Reg,
+        off: i32,
+        br: u8,
+    },
     /// `b[bd] = L[rs1 + src2]` — load a branch target from memory
     /// (indirect jumps through switch tables; register restores).
-    BLoad { bd: BReg, rs1: Reg, src2: Src2, br: u8 },
+    BLoad {
+        bd: BReg,
+        rs1: Reg,
+        src2: Src2,
+        br: u8,
+    },
     /// `M[rs1 + off] = b[bs]` — spill a branch register.
-    BStore { bs: BReg, rs1: Reg, off: i32, br: u8 },
+    BStore {
+        bs: BReg,
+        rs1: Reg,
+        off: i32,
+        br: u8,
+    },
 }
 
 impl MInst {

@@ -242,7 +242,10 @@ impl Program {
             return Err(ImageError::UnalignedEntry { entry: self.entry });
         }
         if self.entry < abi::TEXT_BASE || self.entry >= end {
-            return Err(ImageError::EntryOutOfRange { entry: self.entry, end });
+            return Err(ImageError::EntryOutOfRange {
+                entry: self.entry,
+                end,
+            });
         }
         for b in &self.blocks {
             if b.word as usize >= self.text.len() {
@@ -378,7 +381,9 @@ mod tests {
         p.entry = abi::TEXT_BASE + 2;
         assert_eq!(
             p.validate_image(),
-            Err(ImageError::UnalignedEntry { entry: abi::TEXT_BASE + 2 })
+            Err(ImageError::UnalignedEntry {
+                entry: abi::TEXT_BASE + 2
+            })
         );
     }
 
@@ -483,7 +488,8 @@ mod tests {
         // Extend the program: words 0..4, marks at words 0 and 2.
         for _ in 0..3 {
             p.text.push(TextWord::Inst(MInst::Halt));
-            p.code.push(crate::encode(Machine::Baseline, MInst::Halt).unwrap());
+            p.code
+                .push(crate::encode(Machine::Baseline, MInst::Halt).unwrap());
         }
         p.blocks.push(BlockMark {
             word: 2,
@@ -498,6 +504,9 @@ mod tests {
         assert_eq!(at(16), None, "past text end");
         assert_eq!(p.block_at(abi::TEXT_BASE + 2), None, "unaligned");
         assert_eq!(p.block_at(abi::TEXT_BASE - 4), None, "below text");
-        assert_eq!(p.block_at(abi::TEXT_BASE + 8).unwrap().addr(), abi::TEXT_BASE + 8);
+        assert_eq!(
+            p.block_at(abi::TEXT_BASE + 8).unwrap().addr(),
+            abi::TEXT_BASE + 8
+        );
     }
 }

@@ -102,14 +102,12 @@ fn real_main(args: Args) -> Result<bool, String> {
     // workloads, which enter the pipeline as foreign-ISA modules.
     let mut modules: Vec<(String, br_ir::Module)> = Vec::with_capacity(sources.len() + 4);
     for (name, src) in &sources {
-        let module =
-            br_frontend::compile(src).map_err(|e| format!("{name}: frontend: {e}"))?;
+        let module = br_frontend::compile(src).map_err(|e| format!("{name}: frontend: {e}"))?;
         modules.push((name.clone(), module));
     }
     modules.push(("kernel/alu_coverage".to_string(), br_obs::coverage_kernel()));
     for (name, prog) in br_ingest::workloads::all() {
-        let module = br_ingest::translate(&prog)
-            .map_err(|e| format!("{name}: ingest: {e}"))?;
+        let module = br_ingest::translate(&prog).map_err(|e| format!("{name}: ingest: {e}"))?;
         modules.push((name.to_string(), module));
     }
 
@@ -130,9 +128,7 @@ fn real_main(args: Args) -> Result<bool, String> {
 
     let json = report.to_json(args.top, args.times);
     match &args.out {
-        Some(path) => {
-            std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?
-        }
+        Some(path) => std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?,
         None if !args.check_coverage => println!("{json}"),
         None => {}
     }

@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 
 use br_core::{CompileMetrics, Experiment, RunResult};
 use br_emu::{ExecHook, Measurements};
-use br_isa::{abi, decode, Machine, MInst, Program, TextWord};
+use br_isa::{abi, decode, MInst, Machine, Program, TextWord};
 
 pub mod json;
 
@@ -64,11 +64,19 @@ pub fn mnemonic(machine: Machine, op: u8) -> Option<&'static str> {
             AluOp::OrLo => "orlo",
         },
         MInst::Sethi { .. } => "sethi",
-        MInst::Load { w: MemWidth::Word, .. } => "ldw",
-        MInst::Load { w: MemWidth::Byte, .. } => "ldb",
+        MInst::Load {
+            w: MemWidth::Word, ..
+        } => "ldw",
+        MInst::Load {
+            w: MemWidth::Byte, ..
+        } => "ldb",
         MInst::LoadF { .. } => "ldf",
-        MInst::Store { w: MemWidth::Word, .. } => "stw",
-        MInst::Store { w: MemWidth::Byte, .. } => "stb",
+        MInst::Store {
+            w: MemWidth::Word, ..
+        } => "stw",
+        MInst::Store {
+            w: MemWidth::Byte, ..
+        } => "stb",
         MInst::StoreF { .. } => "stf",
         MInst::Fpu { op, .. } => match op {
             FpuOp::FAdd => "fadd",
@@ -302,9 +310,9 @@ impl WordInfo {
             info.op[i] = (enc >> 26) as u8;
             info.use_br[i] = inst.br();
             match *inst {
-                MInst::Bcalc { bd, .. }
-                | MInst::BMovR { bd, .. }
-                | MInst::BLoad { bd, .. } => info.assign_bd[i] = bd.0,
+                MInst::Bcalc { bd, .. } | MInst::BMovR { bd, .. } | MInst::BLoad { bd, .. } => {
+                    info.assign_bd[i] = bd.0
+                }
                 MInst::BMovB { bd, bs, .. } => {
                     info.assign_bd[i] = bd.0;
                     info.use_bt[i] = bs.0;
@@ -651,10 +659,7 @@ impl Report {
                     .map(|p| p.retired)
                     .sum();
                 if retired > 0 {
-                    w.field_f64(
-                        "mean_occupancy",
-                        b.occupancy_sum as f64 / retired as f64,
-                    );
+                    w.field_f64("mean_occupancy", b.occupancy_sum as f64 / retired as f64);
                 }
                 w.close_obj();
             }

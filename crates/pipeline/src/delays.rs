@@ -191,7 +191,7 @@ mod tests {
         m.uncond_transfers = 3;
         m.transfer_dist[1] = 2; // calculated 1 instruction before use
         m.transfer_dist[0] = 1; // far enough
-        // 3 stages: required distance 2 → one-cycle bubble each.
+                                // 3 stages: required distance 2 → one-cycle bubble each.
         let e = br_machine_cycles(&m, 3);
         assert_eq!(e.prefetch_stalls, 2);
         assert_eq!(e.total, 102);

@@ -74,22 +74,16 @@ pub fn uncond_trace(scheme: BranchScheme) -> PipelineTrace {
     let d = uncond_delay(scheme, 3) as usize;
     match scheme {
         // Target fetch waits for the jump's execute stage.
-        BranchScheme::NoDelayed => {
-            PipelineTrace::staged(vec![("JUMP", 0), ("TARGET", 1 + d)])
-        }
+        BranchScheme::NoDelayed => PipelineTrace::staged(vec![("JUMP", 0), ("TARGET", 1 + d)]),
         // The delay-slot instruction issues back-to-back; the target
         // still waits one extra cycle.
-        BranchScheme::Delayed => PipelineTrace::staged(vec![
-            ("JUMP", 0),
-            ("NEXT", 1),
-            ("TARGET", 2 + d),
-        ]),
+        BranchScheme::Delayed => {
+            PipelineTrace::staged(vec![("JUMP", 0), ("NEXT", 1), ("TARGET", 2 + d)])
+        }
         // The prefetched target streams in with no bubble at all.
-        BranchScheme::BranchRegisters => PipelineTrace::staged(vec![
-            ("JUMP", 0),
-            ("TARGET", 1),
-            ("TARGET+1", 2),
-        ]),
+        BranchScheme::BranchRegisters => {
+            PipelineTrace::staged(vec![("JUMP", 0), ("TARGET", 1), ("TARGET+1", 2)])
+        }
     }
 }
 
@@ -98,11 +92,9 @@ pub fn uncond_trace(scheme: BranchScheme) -> PipelineTrace {
 pub fn cond_trace(scheme: BranchScheme) -> PipelineTrace {
     let d = cond_delay(scheme, 3) as usize;
     match scheme {
-        BranchScheme::NoDelayed => PipelineTrace::staged(vec![
-            ("COMPARE", 0),
-            ("JUMP", 1),
-            ("TARGET", 2 + d),
-        ]),
+        BranchScheme::NoDelayed => {
+            PipelineTrace::staged(vec![("COMPARE", 0), ("JUMP", 1), ("TARGET", 2 + d)])
+        }
         BranchScheme::Delayed => PipelineTrace::staged(vec![
             ("COMPARE", 0),
             ("JUMP", 1),
@@ -112,11 +104,9 @@ pub fn cond_trace(scheme: BranchScheme) -> PipelineTrace {
         // The compare selects between two prefetched instruction
         // registers during its execute stage; the jump's decode picks
         // the winner with no bubble at N=3.
-        BranchScheme::BranchRegisters => PipelineTrace::staged(vec![
-            ("COMPARE", 0),
-            ("JUMP", 1),
-            ("TARGET", 2 + d),
-        ]),
+        BranchScheme::BranchRegisters => {
+            PipelineTrace::staged(vec![("COMPARE", 0), ("JUMP", 1), ("TARGET", 2 + d)])
+        }
     }
 }
 

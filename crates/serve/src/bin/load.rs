@@ -105,9 +105,7 @@ fn drive(addr: &str, requests: usize, threads: usize, seed: u64) -> (Vec<u64>, u
                     let w = &progs[(t * per + i) % progs.len()];
                     let start = Instant::now();
                     match request_with_retry(addr, &run_spec(w, false), &policy, &mut rng) {
-                        Ok(Response::RunOk(_)) => {
-                            lat.push(start.elapsed().as_micros() as u64)
-                        }
+                        Ok(Response::RunOk(_)) => lat.push(start.elapsed().as_micros() as u64),
                         Ok(_) | Err(_) => errs += 1,
                     }
                 }
@@ -195,8 +193,7 @@ fn smoke(addr: &str, chaos: bool) -> ExitCode {
                 local.baseline.exit
             );
             expect!(
-                replies[0].meas == local.baseline.meas
-                    && replies[1].meas == local.brmach.meas,
+                replies[0].meas == local.baseline.meas && replies[1].meas == local.brmach.meas,
                 "server measurements differ from local run"
             );
         }
@@ -218,7 +215,10 @@ fn smoke(addr: &str, chaos: bool) -> ExitCode {
     expect!(
         matches!(
             c.request(&bad),
-            Ok(Response::Error { kind: ErrorKind::Frontend, .. })
+            Ok(Response::Error {
+                kind: ErrorKind::Frontend,
+                ..
+            })
         ),
         "syntax error was not classified Frontend"
     );
@@ -235,7 +235,10 @@ fn smoke(addr: &str, chaos: bool) -> ExitCode {
     expect!(
         matches!(
             c.request(&starved),
-            Ok(Response::Error { kind: ErrorKind::DeadlineEmu, .. })
+            Ok(Response::Error {
+                kind: ErrorKind::DeadlineEmu,
+                ..
+            })
         ),
         "fuel exhaustion was not classified DeadlineEmu"
     );
@@ -245,7 +248,10 @@ fn smoke(addr: &str, chaos: bool) -> ExitCode {
         expect!(
             matches!(
                 c.request(&Request::ChaosPanic),
-                Ok(Response::Error { kind: ErrorKind::Internal, .. })
+                Ok(Response::Error {
+                    kind: ErrorKind::Internal,
+                    ..
+                })
             ),
             "chaos panic was not isolated to a typed Internal response"
         );

@@ -32,12 +32,10 @@ fn usage() -> ! {
 }
 
 fn parse<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    it.next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("br-serve: {flag} needs a value");
-            std::process::exit(2);
-        })
+    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+        eprintln!("br-serve: {flag} needs a value");
+        std::process::exit(2);
+    })
 }
 
 fn main() -> ExitCode {
@@ -56,7 +54,9 @@ fn main() -> ExitCode {
             "--verify" => cfg.verify = true,
             "--default-fuel" => cfg.default_fuel = parse(&mut it, "--default-fuel"),
             "--max-fuel" => cfg.max_fuel = parse(&mut it, "--max-fuel"),
-            "--compile-budget-ms" => cfg.default_compile_budget_ms = parse(&mut it, "--compile-budget-ms"),
+            "--compile-budget-ms" => {
+                cfg.default_compile_budget_ms = parse(&mut it, "--compile-budget-ms")
+            }
             "--io-timeout-ms" => cfg.io_timeout_ms = parse(&mut it, "--io-timeout-ms"),
             "--port-file" => port_file = Some(parse(&mut it, "--port-file")),
             "--help" | "-h" => usage(),

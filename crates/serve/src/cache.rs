@@ -293,7 +293,10 @@ mod tests {
             }))
         };
         assert!(cache.get_or_compile(key, fail).is_err());
-        assert!(cache.get_or_compile(key, fail).is_err(), "retried, not poisoned");
+        assert!(
+            cache.get_or_compile(key, fail).is_err(),
+            "retried, not poisoned"
+        );
         assert_eq!(calls.load(Ordering::Relaxed), 2);
         // And a later success on the same key still lands.
         let (_, o) = cache.get_or_compile(key, compile_fixture).unwrap();

@@ -545,7 +545,10 @@ mod tests {
         assert_eq!(classify(&fe), ErrorKind::Frontend);
         let dl: Error = Error::Compile(CompileError::Deadline { elapsed_ms: 9 });
         assert_eq!(classify(&dl), ErrorKind::DeadlineCompile);
-        assert_eq!(classify(&Error::Emu(EmuError::OutOfFuel)), ErrorKind::DeadlineEmu);
+        assert_eq!(
+            classify(&Error::Emu(EmuError::OutOfFuel)),
+            ErrorKind::DeadlineEmu
+        );
         assert_eq!(
             classify(&Error::Emu(EmuError::DivByZero(64))),
             ErrorKind::Emu
@@ -565,6 +568,9 @@ mod tests {
         let run = Response::RunOk(vec![]).encode();
         let mut trailing = run.clone();
         trailing.push(0);
-        assert!(Response::decode(&trailing).is_err(), "trailing bytes rejected");
+        assert!(
+            Response::decode(&trailing).is_err(),
+            "trailing bytes rejected"
+        );
     }
 }

@@ -34,7 +34,9 @@ use std::time::{Duration, Instant};
 use br_core::{Error, Experiment, Machine};
 
 use crate::cache::{Cache, Origin};
-use crate::proto::{classify, ErrorKind, MachineReply, Request, Response, RunSpec, ServerStats, Target};
+use crate::proto::{
+    classify, ErrorKind, MachineReply, Request, Response, RunSpec, ServerStats, Target,
+};
 use crate::wire::{read_frame, write_frame};
 
 /// Server tuning knobs. `Default` suits tests and local use.
@@ -129,7 +131,11 @@ impl Shared {
             }
             // Timed wait so a missed notification can never wedge the
             // drain.
-            q = self.qcv.wait_timeout(q, Duration::from_millis(50)).unwrap().0;
+            q = self
+                .qcv
+                .wait_timeout(q, Duration::from_millis(50))
+                .unwrap()
+                .0;
         };
         self.idle.fetch_sub(1, Ordering::SeqCst);
         taken
@@ -447,7 +453,10 @@ fn isolate_panic(
     stream: &mut TcpStream,
     payload: Box<dyn std::any::Any + Send>,
 ) -> ConnOutcome {
-    shared.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
+    shared
+        .counters
+        .worker_panics
+        .fetch_add(1, Ordering::Relaxed);
     shared.counters.errors.fetch_add(1, Ordering::Relaxed);
     let msg = panic_message(payload.as_ref());
     let resp = Response::Error {
@@ -541,9 +550,9 @@ fn run_spec(shared: &Shared, spec: &RunSpec) -> Result<Vec<MachineReply>, Error>
         };
         let (artifact, origin) = if use_cache {
             let key = Cache::key(module_fp, opts_fp, machine, exp.verify);
-            shared
-                .cache
-                .get_or_compile(key, || exp.compile_module_budgeted(&module, machine, deadline))?
+            shared.cache.get_or_compile(key, || {
+                exp.compile_module_budgeted(&module, machine, deadline)
+            })?
         } else {
             let compiled = exp.compile_module_budgeted(&module, machine, deadline)?;
             (Arc::new(compiled), Origin::Compiled)

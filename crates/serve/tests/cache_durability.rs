@@ -6,16 +6,13 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
+use br_core::{Error, Experiment, Machine};
 use br_serve::cache::{Cache, Origin};
 use br_serve::proto::{Request, Response, RunSpec, Target};
 use br_serve::{spawn, Client, ServeConfig};
-use br_core::{Error, Experiment, Machine};
 
 fn tmpdir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "br-serve-cache-test-{}-{tag}",
-        std::process::id()
-    ));
+    let d = std::env::temp_dir().join(format!("br-serve-cache-test-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
@@ -203,14 +200,16 @@ fn cache_is_transparent_to_measurements_over_the_wire() {
     .unwrap();
     let addr = handle.addr;
 
-    let run = |no_cache: bool| Request::Run(RunSpec {
-        name: "transparency".into(),
-        src: SRC.into(),
-        target: Target::Both,
-        fuel: 0,
-        compile_budget_ms: 0,
-        no_cache,
-    });
+    let run = |no_cache: bool| {
+        Request::Run(RunSpec {
+            name: "transparency".into(),
+            src: SRC.into(),
+            target: Target::Both,
+            fuel: 0,
+            compile_budget_ms: 0,
+            no_cache,
+        })
+    };
 
     let mut c = Client::connect(addr, Duration::from_secs(30)).unwrap();
     let uncached = match c.request(&run(true)).unwrap() {

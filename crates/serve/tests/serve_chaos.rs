@@ -60,8 +60,14 @@ fn worker_panic_yields_typed_error_and_server_survives() {
 
     // The daemon survives and serves correct answers afterwards.
     let mut c2 = Client::connect(addr, TIMEOUT).unwrap();
-    assert!(matches!(c2.request(&Request::Ping).unwrap(), Response::Pong));
-    match c2.request(&run_req("after-panic", loop_src(100), 0)).unwrap() {
+    assert!(matches!(
+        c2.request(&Request::Ping).unwrap(),
+        Response::Pong
+    ));
+    match c2
+        .request(&run_req("after-panic", loop_src(100), 0))
+        .unwrap()
+    {
         Response::RunOk(replies) => assert_eq!(replies[0].exit, replies[1].exit),
         other => panic!("run after panic failed: {other:?}"),
     }
@@ -76,14 +82,21 @@ fn worker_panic_yields_typed_error_and_server_survives() {
 
 #[test]
 fn repeated_panics_never_exhaust_the_pool() {
-    let handle = spawn(ServeConfig { workers: 1, ..chaos_config() }).unwrap();
+    let handle = spawn(ServeConfig {
+        workers: 1,
+        ..chaos_config()
+    })
+    .unwrap();
     let addr = handle.addr;
     // With a single worker, every panic kills the whole pool until the
     // supervisor respawns it — ten in a row must all recover.
     for i in 0..10 {
         let mut c = Client::connect(addr, TIMEOUT).unwrap();
         match c.request(&Request::ChaosPanic).unwrap() {
-            Response::Error { kind: ErrorKind::Internal, .. } => {}
+            Response::Error {
+                kind: ErrorKind::Internal,
+                ..
+            } => {}
             other => panic!("round {i}: {other:?}"),
         }
         let mut c2 = Client::connect(addr, TIMEOUT).unwrap();
@@ -103,7 +116,8 @@ fn sibling_request_completes_while_neighbour_panics() {
     let addr = handle.addr;
     let worker = std::thread::spawn(move || {
         let mut c = Client::connect(addr, TIMEOUT).unwrap();
-        c.request(&run_req("sibling", loop_src(200_000), 0)).unwrap()
+        c.request(&run_req("sibling", loop_src(200_000), 0))
+            .unwrap()
     });
     // Fire panics at the other worker while the run is in flight.
     for _ in 0..3 {
@@ -136,7 +150,10 @@ fn overload_is_shed_with_a_typed_retryable_response() {
     // Occupy the single worker: a connection with a confirmed exchange
     // keeps the worker parked in its read loop.
     let mut holder = Client::connect(addr, TIMEOUT).unwrap();
-    assert!(matches!(holder.request(&Request::Ping).unwrap(), Response::Pong));
+    assert!(matches!(
+        holder.request(&Request::Ping).unwrap(),
+        Response::Pong
+    ));
 
     // The next connection must be shed with a typed Overloaded frame.
     let mut c = Client::connect(addr, TIMEOUT).unwrap();
@@ -250,7 +267,9 @@ fn malformed_request_payload_is_a_typed_bad_request() {
     s.set_read_timeout(Some(TIMEOUT)).unwrap();
     // A syntactically valid frame whose payload is garbage.
     br_serve::wire::write_frame(&mut s, &[0xFF, 0x01, 0x02]).unwrap();
-    let payload = br_serve::wire::read_frame(&mut s).unwrap().expect("response");
+    let payload = br_serve::wire::read_frame(&mut s)
+        .unwrap()
+        .expect("response");
     match Response::decode(&payload).unwrap() {
         Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::BadRequest),
         other => panic!("expected BadRequest, got {other:?}"),
@@ -258,7 +277,10 @@ fn malformed_request_payload_is_a_typed_bad_request() {
     // Same connection still usable for a well-formed request.
     br_serve::wire::write_frame(&mut s, &Request::Ping.encode()).unwrap();
     let payload = br_serve::wire::read_frame(&mut s).unwrap().expect("pong");
-    assert!(matches!(Response::decode(&payload).unwrap(), Response::Pong));
+    assert!(matches!(
+        Response::decode(&payload).unwrap(),
+        Response::Pong
+    ));
     handle.stop();
     handle.join();
 }
@@ -304,10 +326,7 @@ fn server_results_match_direct_experiment_under_chaos() {
             let _ = c.request(&Request::ChaosPanic);
         }
         let mut c = Client::connect(addr, TIMEOUT).unwrap();
-        let replies = match c
-            .request(&run_req(w.name, w.source.clone(), 0))
-            .unwrap()
-        {
+        let replies = match c.request(&run_req(w.name, w.source.clone(), 0)).unwrap() {
             Response::RunOk(r) => r,
             other => panic!("{}: {other:?}", w.name),
         };

@@ -106,9 +106,17 @@ pub enum Stmt {
     ArrStore(Expr, Expr),
     If(Cond, Vec<Stmt>, Vec<Stmt>),
     /// `for (int L<id> = 0; L<id> < n; L<id>++) { body }`
-    For { id: u32, n: i32, body: Vec<Stmt> },
+    For {
+        id: u32,
+        n: i32,
+        body: Vec<Stmt>,
+    },
     /// `int L<id> = 0; while (L<id> < n) { body; L<id> = L<id> + 1; }`
-    While { id: u32, n: i32, body: Vec<Stmt> },
+    While {
+        id: u32,
+        n: i32,
+        body: Vec<Stmt>,
+    },
     /// `switch ((e) & 3) { case 0.. }` — exercises jump tables.
     Switch(Expr, Vec<Vec<Stmt>>),
 }
@@ -186,9 +194,7 @@ impl Gen<'_> {
                 0 => Expr::Const(self.r.random_range(-64i32..64)),
                 1 => Expr::Local(self.r.random_range(0u8..NLOCALS)),
                 2 if self.nparams > 0 => Expr::Param(self.r.random_range(0u8..self.nparams)),
-                3 if !self.loops.is_empty() => {
-                    Expr::LoopVar(*self.r.pick(&self.loops))
-                }
+                3 if !self.loops.is_empty() => Expr::LoopVar(*self.r.pick(&self.loops)),
                 4 => Expr::Global(self.r.random_range(0u8..NGLOBALS)),
                 _ => Expr::Const(self.r.random_range(0i32..16)),
             };
@@ -196,8 +202,7 @@ impl Gen<'_> {
         match self.r.random_range(0u32..8) {
             0 => Expr::ArrLoad(Box::new(self.expr(depth - 1))),
             1 if self.fidx + 1 < self.nfuncs
-                && (self.loop_mult == 1
-                    || (self.loop_mult <= 4 && self.calls_in_loops < 1)) =>
+                && (self.loop_mult == 1 || (self.loop_mult <= 4 && self.calls_in_loops < 1)) =>
             {
                 if self.loop_mult > 1 {
                     self.calls_in_loops += 1;
@@ -212,7 +217,11 @@ impl Gen<'_> {
             2..=4 => {
                 // Guarded division: divisor is `(e & 7) + 1`, never zero.
                 if self.r.chance(1, 4) {
-                    let op = if self.r.chance(1, 2) { BinOp::Div } else { BinOp::Rem };
+                    let op = if self.r.chance(1, 2) {
+                        BinOp::Div
+                    } else {
+                        BinOp::Rem
+                    };
                     let num = self.expr(depth - 1);
                     let den = Expr::Bin(
                         BinOp::Add,
@@ -233,14 +242,26 @@ impl Gen<'_> {
                         BinOp::Or,
                         BinOp::Xor,
                     ]);
-                    Expr::Bin(op, Box::new(self.expr(depth - 1)), Box::new(self.expr(depth - 1)))
+                    Expr::Bin(
+                        op,
+                        Box::new(self.expr(depth - 1)),
+                        Box::new(self.expr(depth - 1)),
+                    )
                 }
             }
             5 => {
                 // Shift by a small constant amount.
-                let op = if self.r.chance(1, 2) { BinOp::Shl } else { BinOp::Shr };
+                let op = if self.r.chance(1, 2) {
+                    BinOp::Shl
+                } else {
+                    BinOp::Shr
+                };
                 let amt = self.r.random_range(1i32..5);
-                Expr::Bin(op, Box::new(self.expr(depth - 1)), Box::new(Expr::Const(amt)))
+                Expr::Bin(
+                    op,
+                    Box::new(self.expr(depth - 1)),
+                    Box::new(Expr::Const(amt)),
+                )
             }
             _ => Expr::Bin(
                 BinOp::Add,
@@ -251,7 +272,9 @@ impl Gen<'_> {
     }
 
     fn cond(&mut self) -> Cond {
-        let op = *self.r.pick(&[Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge, Cmp::Eq, Cmp::Ne]);
+        let op = *self
+            .r
+            .pick(&[Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge, Cmp::Eq, Cmp::Ne]);
         Cond {
             op,
             a: self.expr(self.cfg.max_expr_depth.min(2)),

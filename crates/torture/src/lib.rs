@@ -24,12 +24,12 @@ pub mod rv32;
 
 pub use gen::{generate, render, GenConfig, TortureAst};
 pub use minimize::{count_stmts, minimize};
-pub use rv32::{check_rv32, generate_rv32, minimize_rv32, Rv32Agreement};
 pub use oracle::{
     check_module, check_module_budgeted, check_module_tiers, check_module_tv, check_module_with,
     check_src, check_src_budgeted, check_src_tiers, check_src_tv, check_src_with, check_tiers,
     Agreement, Divergence, DEFAULT_FUEL,
 };
+pub use rv32::{check_rv32, generate_rv32, minimize_rv32, Rv32Agreement};
 
 /// Derive the seed for iteration `i` of a run started with `seed`.
 ///

@@ -190,20 +190,16 @@ fn fuzz(args: &Args) -> i32 {
                 Err((s, ast, d)) => {
                     println!("iteration {i} (seed {s:#x}) DIVERGED: {d}");
                     println!("minimizing ({} statements)...", count_stmts(&ast));
-                    let min = minimize(&ast, |cand| {
-                        check_case(args, &render(cand), None).is_err()
-                    });
+                    let min = minimize(&ast, |cand| check_case(args, &render(cand), None).is_err());
                     let min_src = render(&min);
-                    let final_d = check_case(args, &min_src, None)
-                        .expect_err("minimizer preserves failure");
+                    let final_d =
+                        check_case(args, &min_src, None).expect_err("minimizer preserves failure");
                     println!(
                         "minimized to {} statements; divergence: {final_d}",
                         count_stmts(&min)
                     );
                     println!("---- minimized reproduction ----\n{min_src}");
-                    println!(
-                        "replay with: cargo run -p br-torture -- --seed {s} --iters 1"
-                    );
+                    println!("replay with: cargo run -p br-torture -- --seed {s} --iters 1");
                     return 1;
                 }
             }
@@ -283,9 +279,7 @@ fn fuzz_rv32(args: &Args) -> i32 {
                     println!("minimized; divergence: {final_d}");
                     println!("---- minimized reproduction (rv32 hex image) ----");
                     println!("{}", min.to_hex());
-                    println!(
-                        "replay with: cargo run -p br-torture -- --rv32 --seed {s} --iters 1"
-                    );
+                    println!("replay with: cargo run -p br-torture -- --rv32 --seed {s} --iters 1");
                     return 1;
                 }
             }

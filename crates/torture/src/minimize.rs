@@ -282,7 +282,11 @@ mod tests {
         };
         assert!(assigns_g0(&ast));
         let min = minimize(&ast, assigns_g0);
-        assert_eq!(count_stmts(&min), 1, "minimal repro is one statement: {min:?}");
+        assert_eq!(
+            count_stmts(&min),
+            1,
+            "minimal repro is one statement: {min:?}"
+        );
         assert_eq!(min.funcs[0].body, vec![guilty]);
         assert_eq!(min.funcs[0].ret, Expr::Const(0));
     }

@@ -349,8 +349,7 @@ pub fn check_src_budgeted(
     verify: bool,
     budget_ms: Option<u64>,
 ) -> Result<Agreement, Divergence> {
-    let module =
-        br_frontend::compile(src).map_err(|e| Divergence::Frontend(e.to_string()))?;
+    let module = br_frontend::compile(src).map_err(|e| Divergence::Frontend(e.to_string()))?;
     check_module_budgeted(&module, fuel, verify, budget_ms)
 }
 
@@ -454,7 +453,11 @@ pub fn check_module_budgeted(
         let b = base.global_stores.get(pos).copied();
         let r = br.global_stores.get(pos).copied();
         if b != r {
-            return Err(Divergence::StoreMismatch { pos, base: b, br: r });
+            return Err(Divergence::StoreMismatch {
+                pos,
+                base: b,
+                br: r,
+            });
         }
     }
 
@@ -656,8 +659,7 @@ pub fn flip_first_cmpbr(prog: &mut Program) -> bool {
     use br_isa::{MInst, TextWord};
     for tw in prog.text.iter_mut() {
         match tw {
-            TextWord::Inst(MInst::CmpBr { cc, .. })
-            | TextWord::Inst(MInst::Bcc { cc, .. }) => {
+            TextWord::Inst(MInst::CmpBr { cc, .. }) | TextWord::Inst(MInst::Bcc { cc, .. }) => {
                 *cc = cc.negate();
                 return true;
             }
@@ -728,8 +730,8 @@ mod tests {
             other => panic!("expected Budget divergence, got {other:?}"),
         }
         // A generous budget changes nothing.
-        let a = check_src_budgeted(src, DEFAULT_FUEL, false, Some(60_000))
-            .expect("well within budget");
+        let a =
+            check_src_budgeted(src, DEFAULT_FUEL, false, Some(60_000)).expect("well within budget");
         assert_eq!(a.exit, 3);
     }
 

@@ -172,7 +172,8 @@ impl Gen {
                 AluOp::Sll | AluOp::Srl | AluOp::Sra => self.rng.random_range(0i32..32),
                 _ => self.imm12(),
             };
-            self.b.push(br_ingest::rv32::Rv32Inst::AluImm { op, rd, rs1, imm });
+            self.b
+                .push(br_ingest::rv32::Rv32Inst::AluImm { op, rd, rs1, imm });
         } else {
             let rs2 = self.reg();
             self.b.push(alu(op, rd, rs1, rs2));
@@ -183,7 +184,9 @@ impl Gen {
         let (r1, r2) = (self.reg(), self.reg());
         let imm = self.imm12();
         if self.rng.chance(1, 2) {
-            let w = *self.rng.pick(&[MemW::B, MemW::H, MemW::W, MemW::Bu, MemW::Hu]);
+            let w = *self
+                .rng
+                .pick(&[MemW::B, MemW::H, MemW::W, MemW::Bu, MemW::Hu]);
             self.b.push(load(w, r1, r2, imm));
         } else {
             let w = *self.rng.pick(&[MemW::B, MemW::H, MemW::W]);
@@ -391,8 +394,7 @@ pub fn sabotaged_rv32_misbehaves(prog: &Rv32Program, fuel: u64) -> bool {
             if guest != reference.stores {
                 return true;
             }
-            (0..run.globals[0].1.len())
-                .any(|w| run.globals[0].1[w] != reference.mem_word(w))
+            (0..run.globals[0].1.len()).any(|w| run.globals[0].1[w] != reference.mem_word(w))
         }
         Err(_) => true,
     }
@@ -409,8 +411,7 @@ mod tests {
             let seed = iter_seed(0xC0FFEE, i);
             let prog = generate_rv32(seed);
             assert!(translate(&prog).is_ok(), "seed {seed:#x} untranslatable");
-            let r = interp::run(&prog, 200_000)
-                .unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
+            let r = interp::run(&prog, 200_000).unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
             assert!(r.steps > 0);
         }
     }
@@ -426,8 +427,7 @@ mod tests {
         for i in 0..10 {
             let seed = iter_seed(0xBEEF, i);
             let prog = generate_rv32(seed);
-            check_rv32(&prog, 200_000, false)
-                .unwrap_or_else(|d| panic!("seed {seed:#x}: {d}"));
+            check_rv32(&prog, 200_000, false).unwrap_or_else(|d| panic!("seed {seed:#x}: {d}"));
         }
     }
 
@@ -447,10 +447,11 @@ mod tests {
                 sabotaged_rv32_misbehaves(&min, 200_000),
                 "minimized program must still fail"
             );
-            let nops = |p: &Rv32Program| {
-                p.words.iter().filter(|&&w| w == encode(nop())).count()
-            };
-            assert!(nops(&min) >= nops(&prog), "minimizer must not grow the program");
+            let nops = |p: &Rv32Program| p.words.iter().filter(|&&w| w == encode(nop())).count();
+            assert!(
+                nops(&min) >= nops(&prog),
+                "minimizer must not grow the program"
+            );
             break;
         }
         assert!(found, "no sabotage-detectable program in 40 seeds");

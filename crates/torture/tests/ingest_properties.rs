@@ -33,7 +33,10 @@ fn thousand_seeded_streams_have_zero_divergence() {
         });
         ref_steps += a.ref_steps;
     }
-    assert!(ref_steps > 10_000, "streams did too little work: {ref_steps}");
+    assert!(
+        ref_steps > 10_000,
+        "streams did too little work: {ref_steps}"
+    );
 }
 
 #[test]
@@ -50,8 +53,7 @@ fn regression_corpus_replays_clean_with_verify() {
         let text = std::fs::read_to_string(&path).unwrap();
         let prog = br_ingest::Rv32Program::from_hex(&text)
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        check_rv32(&prog, FUEL, true)
-            .unwrap_or_else(|d| panic!("{}: {d}", path.display()));
+        check_rv32(&prog, FUEL, true).unwrap_or_else(|d| panic!("{}: {d}", path.display()));
     }
 }
 
@@ -70,7 +72,11 @@ fn minimizer_preserves_a_real_wrong_code_failure() {
             rv32::sabotaged_rv32_misbehaves(&min, FUEL),
             "minimized program no longer witnesses the miscompile"
         );
-        assert_eq!(min.words.len(), prog.words.len(), "minimizer must not resize");
+        assert_eq!(
+            min.words.len(),
+            prog.words.len(),
+            "minimizer must not resize"
+        );
         let nops = min.words.iter().filter(|&&w| w == nop).count();
         assert!(nops > 0, "nothing was minimized away");
         return;

@@ -484,9 +484,7 @@ impl<'a> BrLint<'a> {
                 {
                     sink.push(unset(bt.0));
                 }
-                MInst::BMovB { bs, .. }
-                    if bs.0 != 0 && matches!(s[bs.0 as usize], BVal::Undef) =>
-                {
+                MInst::BMovB { bs, .. } if bs.0 != 0 && matches!(s[bs.0 as usize], BVal::Undef) => {
                     sink.push(unset(bs.0));
                 }
                 _ => {}
@@ -588,8 +586,7 @@ impl<'a> BrLint<'a> {
                         // not yet live across the call.
                         let computed_here = plan.preheader(b);
                         let live_reserved = reserved.iter().find(|&&r| {
-                            caller_pool.contains(&r)
-                                && !computed_here.iter().any(|h| h.breg == r)
+                            caller_pool.contains(&r) && !computed_here.iter().any(|h| h.breg == r)
                         });
                         if let Some(&r) = live_reserved {
                             sink.push(clobbered(r));
@@ -888,7 +885,10 @@ mod tests {
 
     #[test]
     fn wrong_machine_instruction_is_an_encoding_error() {
-        let f = func(vec![inst(MInst::Ba { disp: 4 }), inst(MInst::Nop { br: 0 })]);
+        let f = func(vec![
+            inst(MInst::Ba { disp: 4 }),
+            inst(MInst::Nop { br: 0 }),
+        ]);
         assert!(matches!(
             check_asm(&f, Machine::BranchReg, None, &BrOptions::default()),
             Err(VerifyError::Encoding {
@@ -934,12 +934,7 @@ mod tests {
             inst(MInst::Halt),
         ]);
         assert_eq!(
-            check_asm(
-                &f,
-                Machine::BranchReg,
-                Some(&plan),
-                &BrOptions::default()
-            ),
+            check_asm(&f, Machine::BranchReg, Some(&plan), &BrOptions::default()),
             Err(VerifyError::HoistClobbered {
                 func: "t".into(),
                 index: 3,

@@ -7,9 +7,7 @@
 //! liveness analysis the allocator uses — that no virtual register can
 //! be read before it is written on any path from the entry.
 
-use br_ir::{
-    BinOp, Cfg, Function, Inst, Liveness, Operand, RegClass, UnOp, VReg, Width,
-};
+use br_ir::{BinOp, Cfg, Function, Inst, Liveness, Operand, RegClass, UnOp, VReg, Width};
 
 use crate::VerifyError;
 
@@ -89,10 +87,7 @@ fn check_edges(f: &Function) -> Result<(), VerifyError> {
         return Err(VerifyError::EdgeMismatch {
             func: f.name.clone(),
             block: f.entry().0,
-            detail: format!(
-                "entry block has predecessors {:?}",
-                cfg.preds(f.entry())
-            ),
+            detail: format!("entry block has predecessors {:?}", cfg.preds(f.entry())),
         });
     }
     Ok(())

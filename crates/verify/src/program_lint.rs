@@ -35,9 +35,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use br_codegen::BrOptions;
-use br_isa::{
-    abi, AluOp, AsmFunc, AsmItem, Label, MInst, Program, Reloc, Src2, SymRef, TextWord,
-};
+use br_isa::{abi, AluOp, AsmFunc, AsmItem, Label, MInst, Program, Reloc, Src2, SymRef, TextWord};
 
 use crate::asm_check::check_asm_all;
 use crate::VerifyError;

@@ -111,7 +111,9 @@ fn entry_flags(prog: &Program) -> Vec<bool> {
         Machine::BranchReg => 1usize,
     };
     for w in 0..prog.text.len() {
-        let Some(inst) = inst_at(prog, w) else { continue };
+        let Some(inst) = inst_at(prog, w) else {
+            continue;
+        };
         if is_control(prog.machine, inst) {
             for d in 1..=reach {
                 if let Some(e) = entry.get_mut(w + d) {
@@ -206,7 +208,10 @@ fn classify_transfer(prog: &Program, entry: &[bool], w: usize, inst: MInst) -> T
         // Directly post-transfer (or a window head): the carried
         // register was last written outside the window; for b7 that is
         // the implicit sequential-address write (never from a compare).
-        return Transfer { cond: false, dist: 1 };
+        return Transfer {
+            cond: false,
+            dist: 1,
+        };
     }
     if br != 7 {
         let (dist, _) = def_distance(prog, entry, w, w - 1, BReg(br));
@@ -278,7 +283,9 @@ pub fn static_cycles(prog: &Program, counts: &[u64], stages: u32) -> CostReport 
         if n == 0 {
             continue;
         }
-        let Some(inst) = inst_at(prog, w) else { continue };
+        let Some(inst) = inst_at(prog, w) else {
+            continue;
+        };
         let (structural, prefetch) = match prog.machine {
             Machine::Baseline => {
                 let s = match inst {
@@ -309,7 +316,12 @@ pub fn static_cycles(prog: &Program, counts: &[u64], stages: u32) -> CostReport 
 
     let mut total = zero_estimate();
     for f in &per_func {
-        add(&mut total, f.instructions, f.transfer_stalls, f.prefetch_stalls);
+        add(
+            &mut total,
+            f.instructions,
+            f.transfer_stalls,
+            f.prefetch_stalls,
+        );
     }
     let funcs = names
         .into_iter()
@@ -501,10 +513,7 @@ mod tests {
     fn post_transfer_carrier_is_unconditional_distance_one() {
         // nop{br=1} at word 0 is a window head: carried register defined
         // outside the window, clamped distance 1, unconditional.
-        let p = prog(
-            Machine::BranchReg,
-            vec![MInst::Nop { br: 7 }, MInst::Halt],
-        );
+        let p = prog(Machine::BranchReg, vec![MInst::Nop { br: 7 }, MInst::Halt]);
         let counts = vec![4, 1];
         let r = static_cycles(&p, &counts, 8);
         // required 7, d=1, shortfall 6, uncond: 4 * 6.
@@ -514,10 +523,7 @@ mod tests {
 
     #[test]
     fn icache_bound_cold_when_fits() {
-        let p = prog(
-            Machine::BranchReg,
-            vec![MInst::Nop { br: 0 }, MInst::Halt],
-        );
+        let p = prog(Machine::BranchReg, vec![MInst::Nop { br: 0 }, MInst::Halt]);
         let counts = vec![10, 1];
         let cfg = CacheConfig {
             sets: 4,

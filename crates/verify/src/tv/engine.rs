@@ -290,7 +290,11 @@ struct Paired {
 /// both sides with exactly one distinct state; otherwise the sides'
 /// control structure diverged beyond what the engine can align.
 fn pair_exits(ea: Vec<Exit>, eb: Vec<Exit>, at: &str) -> Result<Vec<Paired>, String> {
-    fn index(exits: Vec<Exit>, side: &str, at: &str) -> Result<BTreeMap<ArmKey, SideState>, String> {
+    fn index(
+        exits: Vec<Exit>,
+        side: &str,
+        at: &str,
+    ) -> Result<BTreeMap<ArmKey, SideState>, String> {
         let mut m: BTreeMap<ArmKey, SideState> = BTreeMap::new();
         for e in exits {
             let key: ArmKey = (
@@ -448,11 +452,7 @@ pub fn validate_func(
         work.extend(in_state.keys().copied().map(Some));
         for seg in work {
             let (label, sa, sb) = match seg {
-                None => (
-                    "entry".to_string(),
-                    entry_a.clone(),
-                    entry_b.clone(),
-                ),
+                None => ("entry".to_string(), entry_a.clone(), entry_b.clone()),
                 Some(l) => {
                     let j = in_state.get(&l).expect("worklist anchor has state");
                     (format!("block L{l}"), j.a.clone(), j.b.clone())
@@ -497,20 +497,11 @@ pub fn validate_func(
                     Arrival::Return => returns.push(p),
                     Arrival::Anchor(d) => match in_state.get_mut(&d) {
                         None => {
-                            in_state.insert(
-                                d,
-                                Joint {
-                                    a: p.a,
-                                    b: p.b,
-                                },
-                            );
+                            in_state.insert(d, Joint { a: p.a, b: p.b });
                             changed = true;
                         }
                         Some(cur) => {
-                            let inc = Joint {
-                                a: p.a,
-                                b: p.b,
-                            };
+                            let inc = Joint { a: p.a, b: p.b };
                             changed |= meet(arena, d, cur, &inc);
                         }
                     },

@@ -821,9 +821,7 @@ impl<'a, 'b> Exec<'a, 'b> {
                     .ok_or_else(|| Stuck::new(word, "transfer past the end of the function"))?;
                 Ok(Disp::Continue(fr))
             }
-            Expr::TableEntry {
-                side: s, label, ..
-            } if s == side => {
+            Expr::TableEntry { side: s, label, .. } if s == side => {
                 let targets = self
                     .cx
                     .code
@@ -885,7 +883,9 @@ impl<'a, 'b> Exec<'a, 'b> {
                 self.set_reg(state, rd, v);
                 Ok(())
             }
-            MInst::Load { w, rd, rs1, off, .. } => {
+            MInst::Load {
+                w, rd, rs1, off, ..
+            } => {
                 let addr = self.mem_addr(state, rs1, off, reloc);
                 let v = self.do_load(state, addr, w, word)?;
                 self.set_reg(state, rd, v);
@@ -897,7 +897,9 @@ impl<'a, 'b> Exec<'a, 'b> {
                 state.fregs[fd.0 as usize] = v;
                 Ok(())
             }
-            MInst::Store { w, rs, rs1, off, .. } => {
+            MInst::Store {
+                w, rs, rs1, off, ..
+            } => {
                 let addr = self.mem_addr(state, rs1, off, reloc);
                 let val = self.rv(state, rs);
                 self.do_store(state, addr, val, w, word)
@@ -1073,10 +1075,7 @@ impl<'a, 'b> Exec<'a, 'b> {
         };
         let f = off.wrapping_sub(c);
         match self.slot_at(f) {
-            Some((slot, delta)) => self.arena.mk(Expr::SlotAddr {
-                slot,
-                off: delta,
-            }),
+            Some((slot, delta)) => self.arena.mk(Expr::SlotAddr { slot, off: delta }),
             None => v,
         }
     }
@@ -1120,10 +1119,7 @@ impl<'a, 'b> Exec<'a, 'b> {
                 let f = off.wrapping_sub(c);
                 match self.slot_at(f) {
                     Some((slot, delta)) => {
-                        let a = self.arena.mk(Expr::SlotAddr {
-                            slot,
-                            off: delta,
-                        });
+                        let a = self.arena.mk(Expr::SlotAddr { slot, off: delta });
                         Ok(Place::Chain(a))
                     }
                     None => Ok(Place::Priv(off)),

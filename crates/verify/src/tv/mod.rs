@@ -130,7 +130,13 @@ impl fmt::Display for TvModuleReport {
             self.funcs.len()
         )?;
         for fr in &self.funcs {
-            writeln!(f, "  {}: {} ({} rounds)", fr.func, fr.status.name(), fr.rounds)?;
+            writeln!(
+                f,
+                "  {}: {} ({} rounds)",
+                fr.func,
+                fr.status.name(),
+                fr.rounds
+            )?;
             for finding in &fr.findings {
                 writeln!(f, "    - {}", finding.detail)?;
             }

@@ -10,11 +10,16 @@ use br_verify::lint_program;
 
 fn build(src: &str, machine: Machine) -> Program {
     let module = br_frontend::compile(src).expect("frontend");
-    compile_module(&module, machine, BaseOptions::default(), BrOptions::default())
-        .expect("codegen")
-        .asm
-        .assemble()
-        .expect("assemble")
+    compile_module(
+        &module,
+        machine,
+        BaseOptions::default(),
+        BrOptions::default(),
+    )
+    .expect("codegen")
+    .asm
+    .assemble()
+    .expect("assemble")
 }
 
 /// Every suite program, on both machines, round-trips through

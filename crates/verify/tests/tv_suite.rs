@@ -10,8 +10,8 @@ use br_verify::tv;
 fn suite_proves_equivalent() {
     let mut bad = Vec::new();
     for w in br_workloads::suite(br_workloads::Scale::Test) {
-        let module = br_frontend::compile(&w.source)
-            .unwrap_or_else(|e| panic!("{}: frontend: {e}", w.name));
+        let module =
+            br_frontend::compile(&w.source).unwrap_or_else(|e| panic!("{}: frontend: {e}", w.name));
         let report = tv::validate_module(&module, BaseOptions::default(), BrOptions::default())
             .unwrap_or_else(|e| panic!("{}: codegen: {e}", w.name));
         for f in &report.funcs {
@@ -31,7 +31,7 @@ fn suite_proves_equivalent() {
 #[test]
 fn tampered_emission_is_caught() {
     use br_codegen::{select_module, TargetSpec};
-    use br_isa::{AluOp, AsmItem, Machine, MInst, Src2};
+    use br_isa::{AluOp, AsmItem, MInst, Machine, Src2};
     use br_verify::tv::engine::validate_func;
     use br_verify::tv::exec::{Ctx, SideCode};
     use br_verify::tv::expr::{Arena, Side};
@@ -94,14 +94,21 @@ fn tampered_emission_is_caught() {
         callee_bregs: &callee_bregs,
     };
     let mut arena = Arena::new();
-    let outcome = validate_func(&mut arena, &cxa, &cxb, &[false, false], br_verify::tv::exec::RetKind::Int);
-    assert!(
-        !outcome.findings.is_empty(),
-        "tampered code must not prove"
+    let outcome = validate_func(
+        &mut arena,
+        &cxa,
+        &cxb,
+        &[false, false],
+        br_verify::tv::exec::RetKind::Int,
     );
+    assert!(!outcome.findings.is_empty(), "tampered code must not prove");
     assert!(
         outcome.findings.iter().any(|f| f.refuted),
         "constant mismatch should be a refutation, got: {:?}",
-        outcome.findings.iter().map(|f| &f.detail).collect::<Vec<_>>()
+        outcome
+            .findings
+            .iter()
+            .map(|f| &f.detail)
+            .collect::<Vec<_>>()
     );
 }

@@ -165,10 +165,7 @@ int main() {{
 }
 
 fn nested_init(vals: &[i32], n: usize) -> String {
-    let rows: Vec<String> = vals
-        .chunks(n)
-        .map(int_list)
-        .collect();
+    let rows: Vec<String> = vals.chunks(n).map(int_list).collect();
     format!("{{{}}}", rows.join(", "))
 }
 

@@ -56,25 +56,101 @@ pub struct Workload {
 /// The full 19-program suite at the given scale.
 pub fn suite(scale: Scale) -> Vec<Workload> {
     vec![
-        Workload { name: "cal", description: "Calendar generator", source: utilities::cal(scale) },
-        Workload { name: "cb", description: "C program beautifier", source: utilities::cb(scale) },
-        Workload { name: "compact", description: "File compression", source: utilities::compact(scale) },
-        Workload { name: "diff", description: "File differences", source: utilities::diff(scale) },
-        Workload { name: "grep", description: "Search for pattern", source: utilities::grep(scale) },
-        Workload { name: "nroff", description: "Text formatter", source: utilities::nroff(scale) },
-        Workload { name: "od", description: "Octal dump", source: utilities::od(scale) },
-        Workload { name: "sed", description: "Stream editor", source: utilities::sed(scale) },
-        Workload { name: "sort", description: "Sort or merge files", source: utilities::sort(scale) },
-        Workload { name: "spline", description: "Interpolate curve", source: utilities::spline(scale) },
-        Workload { name: "tr", description: "Translate characters", source: utilities::tr(scale) },
-        Workload { name: "wc", description: "Word count", source: utilities::wc(scale) },
-        Workload { name: "dhrystone", description: "Synthetic benchmark", source: benchmarks::dhrystone(scale) },
-        Workload { name: "matmult", description: "Matrix multiplication", source: benchmarks::matmult(scale) },
-        Workload { name: "puzzle", description: "Recursion, arrays", source: benchmarks::puzzle(scale) },
-        Workload { name: "sieve", description: "Iteration", source: benchmarks::sieve(scale) },
-        Workload { name: "whetstone", description: "Floating-point arithmetic", source: benchmarks::whetstone(scale) },
-        Workload { name: "mincost", description: "VLSI circuit partitioning", source: user::mincost(scale) },
-        Workload { name: "vpcc", description: "Very portable C compiler (expression subset)", source: user::vpcc(scale) },
+        Workload {
+            name: "cal",
+            description: "Calendar generator",
+            source: utilities::cal(scale),
+        },
+        Workload {
+            name: "cb",
+            description: "C program beautifier",
+            source: utilities::cb(scale),
+        },
+        Workload {
+            name: "compact",
+            description: "File compression",
+            source: utilities::compact(scale),
+        },
+        Workload {
+            name: "diff",
+            description: "File differences",
+            source: utilities::diff(scale),
+        },
+        Workload {
+            name: "grep",
+            description: "Search for pattern",
+            source: utilities::grep(scale),
+        },
+        Workload {
+            name: "nroff",
+            description: "Text formatter",
+            source: utilities::nroff(scale),
+        },
+        Workload {
+            name: "od",
+            description: "Octal dump",
+            source: utilities::od(scale),
+        },
+        Workload {
+            name: "sed",
+            description: "Stream editor",
+            source: utilities::sed(scale),
+        },
+        Workload {
+            name: "sort",
+            description: "Sort or merge files",
+            source: utilities::sort(scale),
+        },
+        Workload {
+            name: "spline",
+            description: "Interpolate curve",
+            source: utilities::spline(scale),
+        },
+        Workload {
+            name: "tr",
+            description: "Translate characters",
+            source: utilities::tr(scale),
+        },
+        Workload {
+            name: "wc",
+            description: "Word count",
+            source: utilities::wc(scale),
+        },
+        Workload {
+            name: "dhrystone",
+            description: "Synthetic benchmark",
+            source: benchmarks::dhrystone(scale),
+        },
+        Workload {
+            name: "matmult",
+            description: "Matrix multiplication",
+            source: benchmarks::matmult(scale),
+        },
+        Workload {
+            name: "puzzle",
+            description: "Recursion, arrays",
+            source: benchmarks::puzzle(scale),
+        },
+        Workload {
+            name: "sieve",
+            description: "Iteration",
+            source: benchmarks::sieve(scale),
+        },
+        Workload {
+            name: "whetstone",
+            description: "Floating-point arithmetic",
+            source: benchmarks::whetstone(scale),
+        },
+        Workload {
+            name: "mincost",
+            description: "VLSI circuit partitioning",
+            source: user::mincost(scale),
+        },
+        Workload {
+            name: "vpcc",
+            description: "Very portable C compiler (expression subset)",
+            source: user::vpcc(scale),
+        },
     ]
 }
 
@@ -110,8 +186,24 @@ mod tests {
         assert_eq!(s.len(), 19);
         let names: Vec<_> = s.iter().map(|w| w.name).collect();
         for expected in [
-            "cal", "cb", "compact", "diff", "grep", "nroff", "od", "sed", "sort", "spline",
-            "tr", "wc", "dhrystone", "matmult", "puzzle", "sieve", "whetstone", "mincost",
+            "cal",
+            "cb",
+            "compact",
+            "diff",
+            "grep",
+            "nroff",
+            "od",
+            "sed",
+            "sort",
+            "spline",
+            "tr",
+            "wc",
+            "dhrystone",
+            "matmult",
+            "puzzle",
+            "sieve",
+            "whetstone",
+            "mincost",
             "vpcc",
         ] {
             assert!(names.contains(&expected), "missing {expected}");

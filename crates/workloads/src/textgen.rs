@@ -14,10 +14,39 @@ pub fn rng(stream: u64) -> Rng64 {
 }
 
 const WORDS: &[&str] = &[
-    "the", "quick", "brown", "fox", "jumps", "over", "lazy", "dog", "branch", "register",
-    "pipeline", "cache", "delay", "slot", "compiler", "loop", "target", "address", "fetch",
-    "decode", "execute", "transfer", "control", "machine", "instruction", "prefetch", "code",
-    "if", "while", "for", "return", "int", "char",
+    "the",
+    "quick",
+    "brown",
+    "fox",
+    "jumps",
+    "over",
+    "lazy",
+    "dog",
+    "branch",
+    "register",
+    "pipeline",
+    "cache",
+    "delay",
+    "slot",
+    "compiler",
+    "loop",
+    "target",
+    "address",
+    "fetch",
+    "decode",
+    "execute",
+    "transfer",
+    "control",
+    "machine",
+    "instruction",
+    "prefetch",
+    "code",
+    "if",
+    "while",
+    "for",
+    "return",
+    "int",
+    "char",
 ];
 
 /// Generate `n_words` of text with punctuation and newlines.
@@ -131,6 +160,8 @@ mod tests {
     #[test]
     fn text_has_no_unescapable_chars() {
         let t = text(9, 200);
-        assert!(t.chars().all(|c| c.is_ascii_graphic() || c == ' ' || c == '\n'));
+        assert!(t
+            .chars()
+            .all(|c| c.is_ascii_graphic() || c == ' ' || c == '\n'));
     }
 }

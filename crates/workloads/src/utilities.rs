@@ -588,7 +588,9 @@ mod tests {
 
     #[test]
     fn all_utilities_generate_nonempty_source() {
-        for f in [cal, cb, compact, diff, grep, nroff, od, sed, sort, spline, tr, wc] {
+        for f in [
+            cal, cb, compact, diff, grep, nroff, od, sed, sort, spline, tr, wc,
+        ] {
             let s = f(Scale::Test);
             assert!(s.len() > 100);
             assert!(s.contains("int main("));

@@ -9,9 +9,10 @@
 use br_core::{by_name, CacheConfig, Experiment, Machine, Scale};
 
 fn main() -> Result<(), br_core::Error> {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "puzzle".to_string());
-    let w = by_name(&name, Scale::Test)
-        .unwrap_or_else(|| panic!("unknown workload '{name}'"));
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "puzzle".to_string());
+    let w = by_name(&name, Scale::Test).unwrap_or_else(|| panic!("unknown workload '{name}'"));
     let exp = Experiment::new();
 
     // Use a deliberately tiny cache so misses matter.

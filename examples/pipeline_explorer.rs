@@ -8,7 +8,9 @@
 use br_core::{by_name, pipeline, Experiment, Scale};
 
 fn main() -> Result<(), br_core::Error> {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "sieve".to_string());
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "sieve".to_string());
     let w = by_name(&name, Scale::Test)
         .unwrap_or_else(|| panic!("unknown workload '{name}' (try sieve, wc, grep, ...)"));
 
@@ -23,7 +25,10 @@ fn main() -> Result<(), br_core::Error> {
         cmp.baseline.meas.instructions, cmp.brmach.meas.instructions
     );
     println!();
-    println!("{:>6} {:>14} {:>14} {:>9}", "stages", "baseline cyc", "br cyc", "saving");
+    println!(
+        "{:>6} {:>14} {:>14} {:>9}",
+        "stages", "baseline cyc", "br cyc", "saving"
+    );
     for stages in 3..=8 {
         let c = pipeline::compare(&cmp.baseline.meas, &cmp.brmach.meas, stages);
         println!(

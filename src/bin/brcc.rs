@@ -79,16 +79,10 @@ fn parse_args() -> Result<Args, String> {
             "--no-verify" => args.verify = Some(false),
             "--fused-compare" => args.opts.fused_compare = true,
             "--fuel" => {
-                args.fuel = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("bad --fuel")?;
+                args.fuel = it.next().and_then(|v| v.parse().ok()).ok_or("bad --fuel")?;
             }
             "--jobs" => {
-                args.jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("bad --jobs")?;
+                args.jobs = it.next().and_then(|v| v.parse().ok()).ok_or("bad --jobs")?;
             }
             "--profile" => {
                 args.profile = Some(it.next().ok_or("--profile needs a file path")?);
@@ -110,9 +104,8 @@ fn load_source(input: &str) -> Result<String, String> {
     } else if let Some(w) = br_core::by_name(input, Scale::Test) {
         Ok(w.source)
     } else {
-        std::fs::read_to_string(input).map_err(|e| {
-            format!("'{input}' is neither a readable file nor a known workload: {e}")
-        })
+        std::fs::read_to_string(input)
+            .map_err(|e| format!("'{input}' is neither a readable file nor a known workload: {e}"))
     }
 }
 
@@ -153,9 +146,7 @@ fn real_main() -> Result<(), String> {
                 print!("{module}");
             }
             "asm" => {
-                let (prog, stats) = exp
-                    .compile(&src, args.machine)
-                    .map_err(|e| e.to_string())?;
+                let (prog, stats) = exp.compile(&src, args.machine).map_err(|e| e.to_string())?;
                 print!("{}", prog.listing());
                 eprintln!(
                     "({} static instructions; stats: {stats:?})",
@@ -217,13 +208,15 @@ fn real_main() -> Result<(), String> {
         println!("exit value: {}", run.exit);
         if args.stats {
             print_meas(args.machine.name(), &run.meas);
-            println!("static: {} instructions, codegen {:#?}", run.static_insts, run.stats);
+            println!(
+                "static: {} instructions, codegen {:#?}",
+                run.static_insts, run.stats
+            );
         }
     }
 
     if let (Some(path), Some(report)) = (&args.profile, &report) {
-        std::fs::write(path, report.to_json(10, true))
-            .map_err(|e| format!("write {path}: {e}"))?;
+        std::fs::write(path, report.to_json(10, true)).map_err(|e| format!("write {path}: {e}"))?;
         eprintln!("profile written to {path}");
     }
     Ok(())

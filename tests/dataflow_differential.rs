@@ -50,7 +50,10 @@ fn bitset_dataflow_matches_hashset_reference_on_torture_corpus() {
     }
     // The corpus must actually exercise the comparison; 200 seeds yield
     // a few hundred functions per machine.
-    assert!(funcs_checked >= 400, "only {funcs_checked} functions checked");
+    assert!(
+        funcs_checked >= 400,
+        "only {funcs_checked} functions checked"
+    );
 }
 
 /// A function with loops, calls, floats, and spills, at synthetic loop
@@ -235,4 +238,3 @@ mod reference {
         (sorted(live_in), sorted(live_out))
     }
 }
-

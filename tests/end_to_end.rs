@@ -116,7 +116,10 @@ fn branch_register_machine_static_code_differs() {
     let rr = pr.listing();
     assert!(rb.contains("PC="), "baseline uses branches:\n{rb}");
     assert!(rr.contains("b[0]=b["), "BR machine uses br fields:\n{rr}");
-    assert!(!rr.contains("PC="), "BR machine must have no branch instructions");
+    assert!(
+        !rr.contains("PC="),
+        "BR machine must have no branch instructions"
+    );
 }
 
 #[test]
@@ -158,9 +161,7 @@ fn random_expressions_agree_everywhere() {
         let e = arb_expr(&mut r, 4);
         let a = r.random_range(-50i32..50);
         let b = r.random_range(-50i32..50);
-        let src = format!(
-            "int main() {{ int a = {a}; int b = {b}; return ({e}) % 251; }}"
-        );
+        let src = format!("int main() {{ int a = {a}; int b = {b}; return ({e}) % 251; }}");
         check_consistent(&src);
     }
 }

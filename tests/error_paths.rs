@@ -31,7 +31,10 @@ fn executing_a_jump_table_word_is_detected() {
 
 #[test]
 fn running_off_the_text_segment_is_detected() {
-    let prog = asm_main(Machine::Baseline, vec![AsmItem::Inst(MInst::Nop { br: 0 }, None)]);
+    let prog = asm_main(
+        Machine::Baseline,
+        vec![AsmItem::Inst(MInst::Nop { br: 0 }, None)],
+    );
     let mut emu = Emulator::new(&prog);
     match emu.run(100) {
         Err(EmuError::BadFetch(_)) => {}

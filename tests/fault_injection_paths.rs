@@ -9,7 +9,7 @@
 //! pipeline rather than hand-assembled stubs.
 
 use br_core::{Experiment, Machine};
-use br_emu::{Emulator, EmuError, ExecTier, Fault, Measurements, TraceHook};
+use br_emu::{EmuError, Emulator, ExecTier, Fault, Measurements, TraceHook};
 use br_isa::Program;
 
 const FUEL: u64 = 100_000_000;
@@ -98,7 +98,11 @@ fn corrupt_reg_fires_at_step_zero_and_late() {
                 },
             )
             .expect("no-op corruption completes");
-            assert_eq!((e, &m), (exit, &meas), "no-op at step {at_step} on {machine}");
+            assert_eq!(
+                (e, &m),
+                (exit, &meas),
+                "no-op at step {at_step} on {machine}"
+            );
 
             // A destructive mask must still end in a typed outcome.
             let _ = run_armed(
@@ -122,9 +126,19 @@ fn corrupt_inst_fires_at_step_zero_and_late() {
         for at_step in [0, late] {
             // xor_mask 0 re-decodes the same word: the run must be
             // untouched even though the fault fired.
-            let (e, m) = run_armed(&prog, Fault::CorruptInst { at_step, xor_mask: 0 })
-                .expect("identity re-decode completes");
-            assert_eq!((e, &m), (exit, &meas), "no-op at step {at_step} on {machine}");
+            let (e, m) = run_armed(
+                &prog,
+                Fault::CorruptInst {
+                    at_step,
+                    xor_mask: 0,
+                },
+            )
+            .expect("identity re-decode completes");
+            assert_eq!(
+                (e, &m),
+                (exit, &meas),
+                "no-op at step {at_step} on {machine}"
+            );
 
             // Flipping the whole word either fails to decode
             // (WrongMachine) or runs astray into another typed error —
@@ -157,11 +171,29 @@ fn faults_are_tier_invariant_across_hook_shapes() {
         // Every variant, firing early, firing late, and (for the
         // armed-but-parked instrumented path) never firing at all.
         let faults = [
-            Fault::CorruptReg { at_step: 0, reg: 1, xor_mask: 0 },
-            Fault::CorruptReg { at_step: late, reg: 3, xor_mask: 0x5555_0000 },
-            Fault::CorruptReg { at_step: u64::MAX, reg: 1, xor_mask: -1 },
-            Fault::CorruptInst { at_step: 0, xor_mask: 0 },
-            Fault::CorruptInst { at_step: late, xor_mask: u32::MAX },
+            Fault::CorruptReg {
+                at_step: 0,
+                reg: 1,
+                xor_mask: 0,
+            },
+            Fault::CorruptReg {
+                at_step: late,
+                reg: 3,
+                xor_mask: 0x5555_0000,
+            },
+            Fault::CorruptReg {
+                at_step: u64::MAX,
+                reg: 1,
+                xor_mask: -1,
+            },
+            Fault::CorruptInst {
+                at_step: 0,
+                xor_mask: 0,
+            },
+            Fault::CorruptInst {
+                at_step: late,
+                xor_mask: u32::MAX,
+            },
             Fault::FailMem { at_step: 0 },
             Fault::FailMem { at_step: late },
         ];

@@ -98,20 +98,24 @@ fn cycle_estimates_are_consistent_with_measurements() {
             e.total,
             base.meas.instructions
                 + base.meas.cond_transfers * cond_delay(BranchScheme::Delayed, stages) as u64
-                + base.meas.uncond_transfers
-                    * uncond_delay(BranchScheme::Delayed, stages) as u64,
+                + base.meas.uncond_transfers * uncond_delay(BranchScheme::Delayed, stages) as u64,
             "baseline decomposition at {stages} stages"
         );
-        assert_eq!(e.total, e.instructions + e.transfer_stalls + e.prefetch_stalls);
+        assert_eq!(
+            e.total,
+            e.instructions + e.transfer_stalls + e.prefetch_stalls
+        );
         assert_eq!(e.prefetch_stalls, 0, "baseline never prefetches");
 
         let b = br_machine_cycles(&brm.meas, stages);
-        assert_eq!(b.total, b.instructions + b.transfer_stalls + b.prefetch_stalls);
+        assert_eq!(
+            b.total,
+            b.instructions + b.transfer_stalls + b.prefetch_stalls
+        );
         assert_eq!(b.instructions, brm.meas.instructions);
         assert_eq!(
             b.transfer_stalls,
-            brm.meas.cond_transfers
-                * cond_delay(BranchScheme::BranchRegisters, stages) as u64,
+            brm.meas.cond_transfers * cond_delay(BranchScheme::BranchRegisters, stages) as u64,
             "BR structural stalls are conditional-only at {stages} stages"
         );
     }

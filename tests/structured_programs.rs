@@ -93,10 +93,7 @@ fn render_stmt(s: &Stmt, out: &mut String, indent: usize) {
     match s {
         Stmt::Assign(v, e) => {
             // Keep values bounded so multiplication chains stay tame.
-            out.push_str(&format!(
-                "{pad}v{v} = ({}) % 9973;\n",
-                render_expr(e)
-            ));
+            out.push_str(&format!("{pad}v{v} = ({}) % 9973;\n", render_expr(e)));
         }
         Stmt::If(c, t, e) => {
             out.push_str(&format!("{pad}if ({}) {{\n", render_expr(c)));
@@ -148,8 +145,8 @@ fn structured_random_programs_agree() {
         let stmts = arb_block(&mut r, 2, 1, 5);
         let seeds: Vec<i32> = (0..NVARS).map(|_| r.random_range(-10i32..10)).collect();
         let src = render_program(&stmts, &seeds);
-        let module = br_frontend::compile(&src)
-            .unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
+        let module =
+            br_frontend::compile(&src).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
         let expected = Interpreter::new(&module)
             .run("main", &[])
             .unwrap_or_else(|e| panic!("interp failed: {e}\n{src}"));

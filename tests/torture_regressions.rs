@@ -7,9 +7,7 @@
 //! generator seeds replay as well, so the generated dialect itself is
 //! covered deterministically.
 
-use br_torture::{
-    check_src, check_src_with, generate, iter_seed, render, GenConfig, DEFAULT_FUEL,
-};
+use br_torture::{check_src, check_src_with, generate, iter_seed, render, GenConfig, DEFAULT_FUEL};
 
 #[test]
 fn corpus_replays_clean() {
@@ -46,10 +44,7 @@ fn corpus_exit_values_are_pinned() {
         ("preheader_calls_hoist.c", 65),
     ];
     for (file, want) in pinned {
-        let path = format!(
-            "{}/tests/corpus/{file}",
-            env!("CARGO_MANIFEST_DIR")
-        );
+        let path = format!("{}/tests/corpus/{file}", env!("CARGO_MANIFEST_DIR"));
         let src = std::fs::read_to_string(&path).expect("corpus file reads");
         let a = check_src(&src, DEFAULT_FUEL).expect("oracle agrees");
         assert_eq!(a.exit, want, "{file} exit value drifted");

@@ -22,7 +22,8 @@ fn traces_cover_most_suite_execution() {
                 .compile(&w.source, machine)
                 .unwrap_or_else(|e| panic!("{} on {machine}: {e}", w.name));
             let mut emu = Emulator::new(&prog).with_tier(ExecTier::Traced);
-            emu.run(FUEL).unwrap_or_else(|e| panic!("{} on {machine}: {e}", w.name));
+            emu.run(FUEL)
+                .unwrap_or_else(|e| panic!("{} on {machine}: {e}", w.name));
             let insts = emu.measurements().instructions;
             let in_trace = emu.traced_insts();
             println!(

@@ -18,7 +18,10 @@ fn capped_trace_bounds_memory_and_counts_drops() {
         let mut fast = Emulator::new(&prog);
         let fast_exit = fast.run(FUEL).expect("fast run");
         let insts = fast.measurements().instructions;
-        assert!(insts > 1_000, "sieve must be long enough to overflow the cap");
+        assert!(
+            insts > 1_000,
+            "sieve must be long enough to overflow the cap"
+        );
 
         let cap = 256;
         let mut emu = Emulator::new(&prog);
@@ -38,8 +41,9 @@ fn capped_trace_bounds_memory_and_counts_drops() {
 
         // Nothing vanishes silently: kept + dropped covers at least one
         // fetch and one retire per executed instruction.
-        let kept = (hook.fetches.len() + hook.prefetches.len() + hook.retires.len()
-            + hook.stores.len()) as u64;
+        let kept =
+            (hook.fetches.len() + hook.prefetches.len() + hook.retires.len() + hook.stores.len())
+                as u64;
         assert!(
             kept + hook.dropped >= 2 * insts,
             "kept {kept} + dropped {} events vs {insts} instructions on {machine}",
