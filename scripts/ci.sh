@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # CI entry point: tier-1 verification plus a fixed-seed torture smoke
 # run. Everything is offline and deterministic; a clean exit means the
-# build, the lint gate, the rustdoc link check, the full test suite, a
+# build, the rustfmt check (`cargo fmt --all -- --check`), the lint
+# gate, the rustdoc link check, the full test suite, a
 # 200-iteration differential fuzz run (interpreter vs baseline machine vs
 # branch-register machine, with the br-verify stage gates and the
 # static translation-validation oracle enabled), a 500-seed
@@ -26,6 +27,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> cargo fmt --all -- --check (the tree stays rustfmt-clean)"
+cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
