@@ -118,7 +118,7 @@ impl BitMatrix {
 }
 
 /// Result of register allocation for one function.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     /// Physical register (within the vreg's class) per vreg; `None` for
     /// spilled vregs (which have a slot in `spill_slot` instead).
@@ -347,6 +347,17 @@ pub fn allocate(
     target: &TargetSpec,
     depth: &[u32],
 ) -> Result<Allocation, CodegenError> {
+    allocate_observed(f, target, depth, |_, _| {})
+}
+
+/// [`allocate`], showing `observe` each round's function and
+/// colouring verdict before the round's spills are rewritten.
+fn allocate_observed(
+    f: &mut VFunc,
+    target: &TargetSpec,
+    depth: &[u32],
+    mut observe: impl FnMut(&VFunc, &Result<Allocation, Vec<VR>>),
+) -> Result<Allocation, CodegenError> {
     // Vregs created by `rewrite_spills` (>= the entry count) are reload/
     // store temps with minimal live ranges. Re-spilling one produces an
     // identically-shaped temp the next round chooses again — an infinite
@@ -358,7 +369,9 @@ pub fn allocate(
     for _ in 0..MAX_ROUNDS {
         let lv = compute_liveness(f);
         let g = build_graph(f, &lv, depth);
-        match try_color(f, target, &g, no_spill_from) {
+        let verdict = try_color(f, target, &g, no_spill_from);
+        observe(f, &verdict);
+        match verdict {
             Ok(alloc) => return Ok(alloc),
             Err(spills) => rewrite_spills(f, &spills),
         }
@@ -370,6 +383,15 @@ pub fn allocate(
 }
 
 /// Attempt to color; on failure return the set of vregs to spill.
+///
+/// Simplify removes one vreg per iteration, so it ends after exactly
+/// `n` picks. Each pick is the lowest-numbered vreg whose degree is
+/// below its pool size, or, when there is none, the cheapest spill
+/// candidate. The low-degree vregs are kept in a bitset: degrees only
+/// fall during simplify and each vreg's pool is fixed for the round, so
+/// a vreg joins the set once, when its degree drops below its pool
+/// size, and leaves it when it is picked. Taking the set's lowest bit
+/// is therefore the same pick as scanning all vregs from 0.
 fn try_color(
     f: &VFunc,
     target: &TargetSpec,
@@ -407,19 +429,20 @@ fn try_color(
 
     let row_count = |r: &[u64]| -> usize { r.iter().map(|w| w.count_ones() as usize).sum() };
     let mut degree: Vec<usize> = (0..n).map(|v| row_count(g.adj.row(v))).collect();
+    let pool: Vec<usize> = (0..n as VR).map(|v| avail(v).len()).collect();
     let mut removed = vec![false; n];
-    let mut stack: Vec<(VR, bool)> = Vec::new(); // (vreg, may_spill)
-    let mut remaining: usize = n;
-
-    while remaining > 0 {
-        // Find a low-degree node.
-        let mut picked = None;
-        for v in 0..n as VR {
-            if !removed[v as usize] && degree[v as usize] < avail(v).len() {
-                picked = Some((v, false));
-                break;
-            }
+    // Non-removed vregs whose degree is below their pool size.
+    let mut low = VrSet::new(n);
+    for v in 0..n {
+        if degree[v] < pool[v] {
+            low.insert(v as VR);
         }
+    }
+    let mut stack: Vec<(VR, bool)> = Vec::with_capacity(n); // (vreg, may_spill)
+
+    while stack.len() < n {
+        // Take the lowest-numbered low-degree node.
+        let mut picked = low.iter().next().map(|v| (v, false));
         // Otherwise pick the cheapest spill candidate. Spill temps
         // (vregs >= `no_spill_from`) are passed over while any original
         // range remains: spilling them again cannot reduce pressure.
@@ -443,10 +466,14 @@ fn try_color(
         }
         let (v, may_spill) = picked.expect("nonempty");
         removed[v as usize] = true;
-        remaining -= 1;
+        low.remove(v);
         for w in iter_bits(g.adj.row(v as usize)) {
-            if !removed[w as usize] {
-                degree[w as usize] -= 1;
+            let w = w as usize;
+            if !removed[w] {
+                degree[w] -= 1;
+                if degree[w] < pool[w] {
+                    low.insert(w as VR);
+                }
             }
         }
         stack.push((v, may_spill));
@@ -706,6 +733,27 @@ pub fn dataflow_snapshot(f: &VFunc, depth: &[u32]) -> DataflowSnapshot {
         across_call: g.across_call,
         cost: g.cost,
     }
+}
+
+/// Every colouring round [`allocate`] makes for a copy of `f`: the
+/// function that round colours and the round's verdict, an
+/// [`Allocation`] or the vregs it spills. The last round is the one
+/// that succeeds, unless allocation diverges.
+///
+/// Lets `tests/dataflow_differential.rs` check the production
+/// simplify/select loop against the seed's quadratic loop kept there
+/// as a reference, spill rounds included.
+#[allow(clippy::type_complexity)]
+pub fn coloring_rounds(
+    f: &VFunc,
+    target: &TargetSpec,
+    depth: &[u32],
+) -> Vec<(VFunc, Result<Allocation, Vec<VR>>)> {
+    let mut rounds = Vec::new();
+    let _ = allocate_observed(&mut f.clone(), target, depth, |f, verdict| {
+        rounds.push((f.clone(), verdict.clone()))
+    });
+    rounds
 }
 
 fn substitute_term(term: &mut crate::vcode::VTerm, from: VR, to: VR) {

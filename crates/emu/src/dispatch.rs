@@ -500,9 +500,10 @@ impl Emulator<'_> {
         fuel: u64,
         hook: &mut H,
     ) -> Result<i32, EmuError> {
-        let mut pending: Option<u32> = None;
+        let mut pending = self.pending.take();
         loop {
             if self.meas.instructions >= fuel {
+                self.pending = pending;
                 return Err(EmuError::OutOfFuel);
             }
             let pc = self.pc;

@@ -249,12 +249,14 @@ impl Drop for GuestMem {
 /// # Ok::<(), br_emu::EmuError>(())
 /// ```
 ///
-/// One emulator makes one run. An error (including
-/// [`EmuError::OutOfFuel`]) ends it: registers, memory, [`Emulator::pc`]
-/// and the measurements stay readable, but calling `run` again does not
-/// resume where the first call stopped: the loop keeps some state in
-/// locals (on the baseline machine, a pending delayed branch), and that
-/// state is lost.
+/// A run that stops with [`EmuError::OutOfFuel`] resumes exactly: the
+/// next `run` (with a larger budget, since the budget counts every
+/// instruction the emulator has retired) continues where the first
+/// stopped, on either machine and every tier, and ends with the exit and
+/// [`Measurements`] of an uninterrupted run. On the baseline machine
+/// that includes a taken delayed branch whose delay slot has not run
+/// yet. Any other error ends the run: registers, memory,
+/// [`Emulator::pc`] and the measurements stay readable.
 ///
 /// Guest memory is reused within a thread: dropping an emulator zeroes
 /// the pages its run wrote and keeps the buffer for the thread's next
@@ -288,6 +290,11 @@ pub struct Emulator<'p> {
     /// Last float compare operands.
     pub(crate) fcc: (f32, f32),
     pub(crate) pc: u32,
+    /// Baseline machine: the target of a taken delayed branch whose
+    /// delay slot (at `pc`) has not run when a run stopped out of fuel.
+    /// The run loops keep it in a local and store it here only on that
+    /// return, so the next run resumes inside the delay slot.
+    pub(crate) pending: Option<u32>,
     pub(crate) meas: Measurements,
     /// Pending injected faults (see [`Fault`]).
     faults: Vec<Fault>,
@@ -363,6 +370,7 @@ impl<'p> Emulator<'p> {
             cc: (0, 0),
             fcc: (0.0, 0.0),
             pc: prog.entry,
+            pending: None,
             meas: Measurements::new(),
             faults: Vec::new(),
             next_fault_step: u64::MAX,
@@ -738,9 +746,10 @@ impl<'p> Emulator<'p> {
     ) -> Result<i32, EmuError> {
         // `pending`: target of a taken delayed branch; the instruction at
         // `pc` (the delay slot) executes first.
-        let mut pending: Option<u32> = None;
+        let mut pending = self.pending.take();
         loop {
             if self.meas.instructions >= fuel {
+                self.pending = pending;
                 return Err(EmuError::OutOfFuel);
             }
             let pc = self.pc;
@@ -2018,6 +2027,55 @@ mod tests {
                     assert_reads_fresh(&b, &want, used, &format!("{machine}, spawned thread"));
                 });
             });
+        }
+    }
+
+    /// Stop `sum 0..49` after each of its first 199 instructions and
+    /// resume it: on both machines and every tier, the resumed run must
+    /// end exactly like an uninterrupted one. On the baseline machine
+    /// some stops land between a taken delayed branch and its delay
+    /// slot, which only resumes because the run keeps the branch target.
+    #[test]
+    fn a_run_stopped_out_of_fuel_resumes_exactly() {
+        let src = "int main() { int s = 0; for (int i = 0; i < 50; i++) s += i; return s; }";
+        let module = br_frontend::compile(src).expect("frontend");
+        for machine in [Machine::Baseline, Machine::BranchReg] {
+            let prog = br_codegen::compile_module(
+                &module,
+                machine,
+                Default::default(),
+                Default::default(),
+            )
+            .expect("codegen")
+            .asm
+            .assemble()
+            .expect("assemble");
+            for tier in ExecTier::ALL {
+                let mut whole = Emulator::new(&prog).with_tier(tier);
+                assert_eq!(whole.run(1_000_000), Ok(1225), "{machine}, {tier}");
+                let mut in_delay_slot = 0;
+                let mut bad_stops = Vec::new();
+                for stop in 1..200 {
+                    let mut emu = Emulator::new(&prog).with_tier(tier);
+                    assert_eq!(emu.run(stop), Err(EmuError::OutOfFuel));
+                    assert_eq!(emu.measurements().instructions, stop);
+                    in_delay_slot += emu.pending.is_some() as u32;
+                    let res = emu.run(1_000_000);
+                    if res != Ok(1225)
+                        || emu.pc() != whole.pc()
+                        || emu.measurements() != whole.measurements()
+                    {
+                        bad_stops.push((stop, res));
+                    }
+                }
+                assert!(
+                    bad_stops.is_empty(),
+                    "{machine}, {tier}: resumed runs diverged after these stops: {bad_stops:?}"
+                );
+                if machine == Machine::Baseline {
+                    assert!(in_delay_slot > 0, "{tier}: no stop fell in a delay slot");
+                }
+            }
         }
     }
 

@@ -49,12 +49,18 @@ impl RegSet {
         changed
     }
 
-    /// Iterate over members.
+    /// Iterate over members in ascending order, one `trailing_zeros`
+    /// per member rather than one test per bit position.
     pub fn iter(&self) -> impl Iterator<Item = VReg> + '_ {
         self.bits.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64)
-                .filter(move |b| word & (1 << b) != 0)
-                .map(move |b| VReg((w * 64 + b) as u32))
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    VReg((w * 64 + b) as u32)
+                })
+            })
         })
     }
 
@@ -77,53 +83,86 @@ pub struct Liveness {
 }
 
 impl Liveness {
-    /// Run the classic backward data-flow analysis to a fixed point.
+    /// Run the classic backward data-flow analysis to its least fixed
+    /// point over the blocks reachable from the entry; unreachable
+    /// blocks keep empty sets.
+    ///
+    /// The sets live in flat per-block bit rows and a worklist re-queues
+    /// a block only when the live-in of one of its successors grows.
+    /// It terminates because live sets only grow, and they are bounded
+    /// by blocks × vregs bits. The least fixed point is unique, so the
+    /// visiting order changes the work done, never the sets.
     pub fn new(f: &Function, cfg: &Cfg) -> Liveness {
         let nb = f.blocks.len();
         let nv = f.num_vregs();
+        let wpr = nv.div_ceil(64);
+        let row = |b: BlockId| b.0 as usize * wpr..(b.0 as usize + 1) * wpr;
+        let bit = |v: VReg| (v.0 as usize / 64, 1u64 << (v.0 % 64));
         // Per-block gen (upward-exposed uses) and kill (defs).
-        let mut gen = vec![RegSet::new(nv); nb];
-        let mut kill = vec![RegSet::new(nv); nb];
+        let mut gen = vec![0u64; nb * wpr];
+        let mut kill = vec![0u64; nb * wpr];
         let mut uses = Vec::new();
-        for (id, b) in f.iter_blocks() {
-            let i = id.0 as usize;
-            for inst in &b.insts {
+        for &b in cfg.rpo() {
+            let base = row(b).start;
+            for inst in &f.blocks[b.0 as usize].insts {
                 uses.clear();
                 inst.uses(&mut uses);
                 for &u in &uses {
-                    if !kill[i].contains(u) {
-                        gen[i].insert(u);
+                    let (w, m) = bit(u);
+                    if kill[base + w] & m == 0 {
+                        gen[base + w] |= m;
                     }
                 }
                 if let Some(d) = inst.def() {
-                    kill[i].insert(d);
+                    let (w, m) = bit(d);
+                    kill[base + w] |= m;
                 }
             }
         }
-        let mut live_in = vec![RegSet::new(nv); nb];
-        let mut live_out = vec![RegSet::new(nv); nb];
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in cfg.rpo().iter().rev() {
-                let i = b.0 as usize;
-                let mut out = RegSet::new(nv);
-                for &s in cfg.succs(b) {
-                    out.union_with(&live_in[s.0 as usize]);
+        let mut live_in = vec![0u64; nb * wpr];
+        let mut live_out = vec![0u64; nb * wpr];
+        let mut queued = vec![false; nb];
+        // A stack seeded with the reverse postorder pops blocks in
+        // postorder: successors first, the fast direction here.
+        let mut work: Vec<BlockId> = cfg.rpo().to_vec();
+        for &b in &work {
+            queued[b.0 as usize] = true;
+        }
+        while let Some(b) = work.pop() {
+            queued[b.0 as usize] = false;
+            let out = row(b);
+            for &s in cfg.succs(b) {
+                let succ_in = &live_in[row(s)];
+                for (o, &i) in live_out[out.clone()].iter_mut().zip(succ_in) {
+                    *o |= i;
                 }
-                let mut inn = out.clone();
-                for v in kill[i].iter() {
-                    inn.remove(v);
-                }
-                inn.union_with(&gen[i]);
-                if out != live_out[i] || inn != live_in[i] {
-                    live_out[i] = out;
-                    live_in[i] = inn;
-                    changed = true;
+            }
+            let mut changed = false;
+            for w in out {
+                let new = gen[w] | (live_out[w] & !kill[w]);
+                changed |= new != live_in[w];
+                live_in[w] = new;
+            }
+            if changed {
+                for &p in cfg.preds(b) {
+                    if cfg.is_reachable(p) && !queued[p.0 as usize] {
+                        queued[p.0 as usize] = true;
+                        work.push(p);
+                    }
                 }
             }
         }
-        Liveness { live_in, live_out }
+        let sets = |rows: &[u64]| -> Vec<RegSet> {
+            (0..nb as u32)
+                .map(|b| RegSet {
+                    bits: rows[row(BlockId(b))].to_vec(),
+                })
+                .collect()
+        };
+        Liveness {
+            live_in: sets(&live_in),
+            live_out: sets(&live_out),
+        }
     }
 
     /// Registers live on entry to `b`.

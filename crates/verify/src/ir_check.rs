@@ -20,9 +20,10 @@ pub fn check_ir(f: &Function) -> Result<(), VerifyError> {
         detail,
     })?;
     check_vreg_bounds(f)?;
-    check_edges(f)?;
+    let cfg = Cfg::new(f);
+    check_edges(f, &cfg)?;
     check_classes(f)?;
-    check_def_before_use(f)
+    check_def_before_use(f, &cfg)
 }
 
 /// Every referenced vreg has a class entry.
@@ -59,8 +60,7 @@ fn check_vreg_bounds(f: &Function) -> Result<(), VerifyError> {
 /// "nothing branches to the entry" convention (the frontend emits a
 /// dedicated header block for every loop, so the entry is never a branch
 /// target; selection and hoisting rely on this when placing preheaders).
-fn check_edges(f: &Function) -> Result<(), VerifyError> {
-    let cfg = Cfg::new(f);
+fn check_edges(f: &Function, cfg: &Cfg) -> Result<(), VerifyError> {
     for (id, b) in f.iter_blocks() {
         let succs = b.term().successors();
         if cfg.succs(id) != succs.as_slice() {
@@ -203,9 +203,8 @@ fn check_classes(f: &Function) -> Result<(), VerifyError> {
 /// that crosses no definition. On failure, a forward must-defined pass
 /// locates one offending (block, instruction, vreg) triple for the
 /// report.
-fn check_def_before_use(f: &Function) -> Result<(), VerifyError> {
-    let cfg = Cfg::new(f);
-    let live = Liveness::new(f, &cfg);
+fn check_def_before_use(f: &Function, cfg: &Cfg) -> Result<(), VerifyError> {
+    let live = Liveness::new(f, cfg);
     let entry_live = live.live_in(f.entry());
     if entry_live
         .iter()
@@ -213,14 +212,14 @@ fn check_def_before_use(f: &Function) -> Result<(), VerifyError> {
     {
         return Ok(());
     }
-    Err(locate_use_before_def(f, &cfg))
+    Err(locate_use_before_def(f, cfg, &live))
 }
 
 /// Forward "must be defined" dataflow to pinpoint one use-before-def.
 /// `in[b] = ∩ out[preds]`, entry seeded with the parameters; within a
 /// block, uses are checked against the running set before the
 /// instruction's own def is added.
-fn locate_use_before_def(f: &Function, cfg: &Cfg) -> VerifyError {
+fn locate_use_before_def(f: &Function, cfg: &Cfg, live: &Liveness) -> VerifyError {
     let nv = f.num_vregs();
     let nb = f.blocks.len();
     // `None` = not yet computed (top).
@@ -311,7 +310,6 @@ fn locate_use_before_def(f: &Function, cfg: &Cfg) -> VerifyError {
     // locator found every use covered: the live-in register can only be
     // dead code the backward analysis over-approximated. Report it
     // conservatively against the entry block.
-    let live = Liveness::new(f, cfg);
     let v = live
         .live_in(f.entry())
         .iter()

@@ -2,7 +2,10 @@
 # CI entry point: tier-1 verification plus a fixed-seed torture smoke
 # run. Everything is offline and deterministic; a clean exit means the
 # build, the rustfmt check (`cargo fmt --all -- --check`), the lint
-# gate, the rustdoc link check, the full test suite, a
+# gate, the rustdoc link check, the full test suite, the named
+# cross-checks (observability and timing models, plus the allocator's
+# and the IR liveness's fast paths against their reference
+# implementations in `tests/dataflow_differential.rs`), a
 # 200-iteration differential fuzz run (interpreter vs baseline machine vs
 # branch-register machine, with the br-verify stage gates and the
 # static translation-validation oracle enabled), a 500-seed
@@ -40,9 +43,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "==> cargo test -q --workspace (tier-1 and every member crate)"
 cargo test -q --workspace
 
-echo "==> observability & timing-model cross-checks (named, for log visibility)"
+echo "==> observability, timing-model and dataflow cross-checks (named, for log visibility)"
 cargo test -q --test profile_equivalence --test trace_hook_cap \
-    --test icache_properties --test pipeline_crosscheck
+    --test icache_properties --test pipeline_crosscheck --test dataflow_differential
 cargo test -q -p br-torture --test replay_properties
 
 echo "==> torture smoke run (seed 42, 200 iterations, verify gates + tv oracle on, 4 jobs, 60s/case budget)"
