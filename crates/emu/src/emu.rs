@@ -2,6 +2,7 @@
 
 use std::cell::Cell;
 use std::fmt;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use br_isa::{abi, AluOp, FpuOp, ImageError, MInst, Machine, MemWidth, Program, Src2, TextWord};
 
@@ -141,16 +142,40 @@ const PAGE_SHIFT: u32 = 12;
 /// Pages of guest memory: 2,048 of 4 KiB.
 const PAGES: usize = (abi::MEM_SIZE >> PAGE_SHIFT) as usize;
 
-thread_local! {
-    /// This thread's parked guest-memory buffer. It is all zero.
-    static SPARE: Cell<Option<Vec<u8>>> = const { Cell::new(None) };
+/// A thread's one-slot spare: its parked guest-memory buffer, all zero.
+struct Spare(Cell<Option<Vec<u8>>>);
+
+impl Drop for Spare {
+    /// The thread is exiting: leave its buffer to the next new thread.
+    fn drop(&mut self) {
+        if let Some(bytes) = self.0.take() {
+            orphans().push(bytes);
+        }
+    }
 }
 
-/// The guest's [`abi::MEM_SIZE`] bytes, reused within a thread.
+thread_local! {
+    static SPARE: Spare = const { Spare(Cell::new(None)) };
+}
+
+/// Parked buffers of threads that have exited, all zero.
+static ORPHANS: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+
+fn orphans() -> MutexGuard<'static, Vec<Vec<u8>>> {
+    ORPHANS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The guest's [`abi::MEM_SIZE`] bytes, reused within a thread and
+/// handed on when the thread exits.
 ///
-/// A new `GuestMem` takes this thread's parked buffer, or allocates a
-/// zeroed one when there is none (a second live emulator on the same
-/// thread). Every write goes through [`GuestMem::write`] or
+/// A new `GuestMem` takes this thread's parked buffer, else one that an
+/// exited thread left behind, else allocates a zeroed one (a second
+/// live emulator on the same thread, or more threads running emulators
+/// at once than before). Handing buffers on matters for short-lived
+/// threads, such as the workers of each br-serve server: the allocator
+/// may carve a fresh 8 MiB buffer from memory another thread freed and
+/// zero it in full, which makes every page resident. Every write goes
+/// through [`GuestMem::write`] or
 /// [`GuestMem::span_mut`], which set the bit of each page they touch;
 /// on drop only those pages are zeroed and the buffer is parked for the
 /// thread's next emulator. So a parked buffer is all zero, and a run
@@ -170,9 +195,10 @@ pub(crate) struct GuestMem {
 impl GuestMem {
     fn new() -> GuestMem {
         let bytes = SPARE
-            .try_with(Cell::take)
+            .try_with(|spare| spare.0.take())
             .ok()
             .flatten()
+            .or_else(|| orphans().pop())
             .unwrap_or_else(|| vec![0; abi::MEM_SIZE as usize]);
         GuestMem {
             bytes,
@@ -231,7 +257,7 @@ impl Drop for GuestMem {
             }
         }
         let bytes = std::mem::take(&mut self.bytes);
-        let _ = SPARE.try_with(|spare| spare.set(Some(bytes)));
+        let _ = SPARE.try_with(|spare| spare.0.set(Some(bytes)));
     }
 }
 
@@ -258,10 +284,10 @@ impl Drop for GuestMem {
 /// yet. Any other error ends the run: registers, memory,
 /// [`Emulator::pc`] and the measurements stay readable.
 ///
-/// Guest memory is reused within a thread: dropping an emulator zeroes
-/// the pages its run wrote and keeps the buffer for the thread's next
-/// one, so every emulator's memory reads as freshly zeroed outside its
-/// program image.
+/// Guest memory is reused: dropping an emulator zeroes the pages its run
+/// wrote and keeps the buffer for the thread's next one, or for a new
+/// thread once this one exits, so every emulator's memory reads as
+/// freshly zeroed outside its program image.
 pub struct Emulator<'p> {
     pub(crate) prog: &'p Program,
     /// Predecoded text segment: one [`MInst`] per text word, built once
@@ -2025,6 +2051,19 @@ mod tests {
                 s.spawn(|| {
                     let used = dirty_and_drop(machine, ExecTier::default(), Ending::Halt);
                     assert_reads_fresh(&b, &want, used, &format!("{machine}, spawned thread"));
+                    // Dirty the buffer again before the thread exits.
+                    dirty_and_drop(machine, ExecTier::default(), Ending::Halt);
+                });
+            });
+            // A new thread takes a buffer some exited thread left, maybe
+            // that one: it reads fresh too.
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let emu = Emulator::new(&b);
+                    assert!(
+                        emu.mem[..] == want[..],
+                        "{machine}: a new thread reads fresh"
+                    );
                 });
             });
         }

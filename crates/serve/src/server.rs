@@ -18,11 +18,13 @@
 //!   step fuel. Both expire as typed errors — no thread is ever
 //!   aborted, so locks and caches stay coherent.
 //! - **Graceful drain.** A `Shutdown` request stops the acceptor,
-//!   lets workers finish everything already queued, then exits.
+//!   lets workers finish everything already queued, then exits. The
+//!   drain ends idle connections at once instead of waiting out the
+//!   read timeout.
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -101,9 +103,18 @@ struct Counters {
 
 struct Shared {
     cfg: ServeConfig,
+    /// The bound address: [`Shared::begin_shutdown`] connects here to
+    /// wake the acceptor from its blocking `accept`.
+    addr: SocketAddr,
+    /// Set under the `queue` lock, so a worker that finds the queue
+    /// empty and the flag clear is already waiting when it changes.
     shutdown: AtomicBool,
     queue: Mutex<VecDeque<TcpStream>>,
     qcv: Condvar,
+    /// One slot per worker: a clone of the connection it is serving,
+    /// so the drain can end a read that would otherwise wait for a
+    /// frame until `io_timeout_ms`.
+    serving: Mutex<Vec<Option<TcpStream>>>,
     /// Workers not serving a connection — waiting in [`Shared::pop`]
     /// or on their way there; the load-shedding admission check reads
     /// this. It starts at the pool size, so a client that connects as
@@ -114,9 +125,30 @@ struct Shared {
 }
 
 impl Shared {
+    /// Start the drain: set the flag, wake idle workers, end the reads
+    /// of connections being served and wake the acceptor. Calling it
+    /// again is harmless.
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        {
+            let _q = self
+                .queue
+                .lock()
+                .expect("no thread panics holding the queue");
+            self.shutdown.store(true, Ordering::SeqCst);
+        }
         self.qcv.notify_all();
+        let serving = self
+            .serving
+            .lock()
+            .expect("no thread panics holding the slots");
+        for conn in serving.iter().flatten() {
+            let _ = conn.shutdown(Shutdown::Read);
+        }
+        drop(serving);
+        // The acceptor sees the flag once this connection arrives, and
+        // `enqueue` sheds it. After the acceptor has returned the
+        // connect is refused, which is fine.
+        let _ = TcpStream::connect(wake_addr(self.addr));
     }
 
     /// Dequeue the next connection; `None` once draining is complete.
@@ -129,16 +161,31 @@ impl Shared {
             if self.shutdown.load(Ordering::SeqCst) {
                 break None;
             }
-            // Timed wait so a missed notification can never wedge the
-            // drain.
             q = self
                 .qcv
-                .wait_timeout(q, Duration::from_millis(50))
-                .unwrap()
-                .0;
+                .wait(q)
+                .expect("no thread panics holding the queue");
         };
         self.idle.fetch_sub(1, Ordering::SeqCst);
         taken
+    }
+
+    /// Record (or with `None` clear) the connection worker `idx`
+    /// serves. Once the drain has begun, a newly served connection has
+    /// its read side shut at once: the bytes already received stay
+    /// readable, so a request queued before the drain is still read and
+    /// answered, and the read after it sees end-of-stream.
+    fn set_serving(&self, idx: usize, conn: Option<&TcpStream>) {
+        let mut serving = self
+            .serving
+            .lock()
+            .expect("no thread panics holding the slots");
+        if let Some(conn) = conn {
+            if self.shutdown.load(Ordering::SeqCst) {
+                let _ = conn.shutdown(Shutdown::Read);
+            }
+        }
+        serving[idx] = conn.and_then(|c| c.try_clone().ok());
     }
 
     fn stats(&self) -> ServerStats {
@@ -174,12 +221,19 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Begin draining without a wire request (local teardown).
+    /// Begin draining without a wire request (local teardown): the
+    /// listener closes, late connections are shed with `ShuttingDown`,
+    /// and every connection already accepted has its pending requests
+    /// answered and is then closed, even one whose client stays idle.
+    /// Calling it after a wire `Shutdown`, or twice, is harmless.
     pub fn stop(&self) {
         self.shared.begin_shutdown();
     }
 
-    /// Wait for the drain to finish and all threads to exit.
+    /// Wait for the drain to finish and all threads to exit. After a
+    /// `stop` or a wire `Shutdown` this returns once the requests
+    /// already received are answered; an idle client does not hold it
+    /// for `io_timeout_ms`.
     pub fn join(mut self) {
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
@@ -196,18 +250,27 @@ impl ServerHandle {
 }
 
 /// Bind and start the daemon. Returns once the listener is accepting.
+///
+/// The acceptor thread blocks in `accept`, so a connection reaches the
+/// queue as soon as it arrives. A drain wakes it by connecting to the
+/// bound address (to loopback when bound to `0.0.0.0` or `::`), and
+/// shuts the read side of the connections the workers serve, so
+/// [`ServerHandle::join`] does not wait `io_timeout_ms` for an idle
+/// client.
 pub fn spawn(cfg: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
+    let workers = cfg.workers.max(1);
 
     let shared = Arc::new(Shared {
         cache: Cache::new(cfg.cache_dir.clone()),
-        idle: AtomicU64::new(cfg.workers.max(1) as u64),
+        idle: AtomicU64::new(workers as u64),
         cfg,
+        addr,
         shutdown: AtomicBool::new(false),
         queue: Mutex::new(VecDeque::new()),
         qcv: Condvar::new(),
+        serving: Mutex::new((0..workers).map(|_| None).collect()),
         counters: Counters::default(),
     });
 
@@ -233,16 +296,27 @@ pub fn spawn(cfg: ServeConfig) -> io::Result<ServerHandle> {
     })
 }
 
+/// Block in `accept` until the drain's wake-up connection arrives.
 fn accept_loop(listener: &TcpListener, shared: &Shared) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => enqueue(shared, stream),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
+            // `EMFILE` and the like: back off so a persistent error
+            // cannot spin.
             Err(_) => thread::sleep(Duration::from_millis(5)),
         }
     }
+}
+
+/// Where the drain connects to wake the acceptor: the bound address,
+/// with a wildcard IP replaced by loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
 }
 
 /// Queue a fresh connection or shed it with a typed response.
@@ -293,25 +367,18 @@ fn supervise(shared: &Arc<Shared>) {
     }
     let mut live = n;
     while live > 0 {
-        match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok((idx, panicked)) => {
-                if let Some(h) = handles[idx].take() {
-                    let _ = h.join();
-                }
-                if panicked && !shared.shutdown.load(Ordering::SeqCst) {
-                    // Respawn: the pool never shrinks from a panic.
-                    shared
-                        .counters
-                        .workers_respawned
-                        .fetch_add(1, Ordering::Relaxed);
-                    shared.idle.fetch_add(1, Ordering::SeqCst);
-                    handles[idx] = Some(spawn_worker(shared.clone(), idx, tx.clone()));
-                } else {
-                    live -= 1;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => break,
+        let (idx, respawn) = rx
+            .recv()
+            .expect("this thread holds a sender, so the channel stays open");
+        if let Some(h) = handles[idx].take() {
+            let _ = h.join();
+        }
+        if respawn {
+            // The pool never shrinks from a panic.
+            shared.idle.fetch_add(1, Ordering::SeqCst);
+            handles[idx] = Some(spawn_worker(shared.clone(), idx, tx.clone()));
+        } else {
+            live -= 1;
         }
     }
 }
@@ -325,14 +392,17 @@ fn spawn_worker(
         .name(format!("br-serve-worker-{idx}"))
         .spawn(move || {
             while let Some(conn) = shared.pop() {
-                match serve_conn(&shared, conn) {
+                shared.set_serving(idx, Some(&conn));
+                let outcome = serve_conn(&shared, conn);
+                shared.set_serving(idx, None);
+                match outcome {
                     ConnOutcome::Clean => {
                         shared.idle.fetch_add(1, Ordering::SeqCst);
                     }
-                    ConnOutcome::Panicked => {
+                    ConnOutcome::Panicked { respawn } => {
                         // This worker handled a poisoned request; hand
                         // the slot back for a fresh respawn.
-                        let _ = done.send((idx, true));
+                        let _ = done.send((idx, respawn));
                         return;
                     }
                 }
@@ -344,7 +414,10 @@ fn spawn_worker(
 
 enum ConnOutcome {
     Clean,
-    Panicked,
+    /// The worker retires; `respawn` unless the server is draining.
+    Panicked {
+        respawn: bool,
+    },
 }
 
 fn respond(shared: &Shared, stream: &mut TcpStream, resp: &Response) -> bool {
@@ -458,13 +531,22 @@ fn isolate_panic(
         .worker_panics
         .fetch_add(1, Ordering::Relaxed);
     shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+    // Count the replacement before answering, so a client that reads
+    // the stats after this response sees it.
+    let respawn = !shared.shutdown.load(Ordering::SeqCst);
+    if respawn {
+        shared
+            .counters
+            .workers_respawned
+            .fetch_add(1, Ordering::Relaxed);
+    }
     let msg = panic_message(payload.as_ref());
     let resp = Response::Error {
         kind: ErrorKind::Internal,
         message: format!("worker panicked while handling the request: {msg}"),
     };
     let _ = respond(shared, stream, &resp);
-    ConnOutcome::Panicked
+    ConnOutcome::Panicked { respawn }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

@@ -34,14 +34,20 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Read one frame's payload. `Ok(None)` means the peer closed the
-/// connection cleanly *between* frames; a close mid-frame is an error
-/// (the chaos suite's "client disconnects mid-stream" case).
+/// connection cleanly *between* frames; a close mid-frame, length
+/// prefix included, is an error (the chaos suite's "client disconnects
+/// mid-stream" case).
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    let mut got = 0;
+    while got < len_buf.len() {
+        match r.read(&mut len_buf[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     let len = u32::from_le_bytes(len_buf);
     if len > MAX_FRAME {

@@ -5,7 +5,7 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use br_serve::proto::{ErrorKind, Request, Response, RunSpec, Target};
 use br_serve::{request_with_retry, spawn, Client, RetryPolicy, ServeConfig};
@@ -341,4 +341,162 @@ fn server_results_match_direct_experiment_under_chaos() {
 
     handle.stop();
     handle.join();
+}
+
+/// Answer one `Ping` on a fresh connection, as `br-load` and
+/// `request_with_retry` do for every request.
+fn ping_fresh(addr: std::net::SocketAddr) {
+    let mut c = Client::connect(addr, TIMEOUT).unwrap();
+    assert!(matches!(c.request(&Request::Ping).unwrap(), Response::Pong));
+}
+
+/// The acceptor hands each connection over as it arrives. A poll that
+/// sleeps between empty accepts adds its sleep to every request on a
+/// fresh connection, and since each sleep starts just after the previous
+/// connection was handed over, back-to-back requests each wait most of
+/// it. The wait is sleep, not CPU, so the fastest of 20 stays below it
+/// on a loaded host.
+#[test]
+fn a_fresh_connection_is_served_without_waiting_for_a_poll() {
+    let handle = spawn(chaos_config()).unwrap();
+    let addr = handle.addr;
+    // The first connection meets any poll sleep at a random point.
+    ping_fresh(addr);
+    let fastest = (0..20)
+        .map(|_| {
+            let start = Instant::now();
+            ping_fresh(addr);
+            start.elapsed()
+        })
+        .min()
+        .unwrap();
+    assert!(
+        fastest < Duration::from_millis(2),
+        "fastest fresh-connection Ping took {fastest:?}"
+    );
+    handle.stop();
+    handle.join();
+}
+
+/// Stop a server while `idle` holds a served connection that sends no
+/// further frame, and require the drain to end it rather than wait out
+/// `io_timeout_ms`.
+fn stop_with_an_idle_client(handle: br_serve::ServerHandle, idle: &mut Client) {
+    assert!(matches!(
+        idle.request(&Request::Ping).unwrap(),
+        Response::Pong
+    ));
+    let start = Instant::now();
+    handle.stop();
+    handle.join();
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "stop + join with an idle client took {took:?}"
+    );
+}
+
+#[test]
+fn drain_closes_an_idle_connection_instead_of_waiting_for_its_timeout() {
+    let handle = spawn(chaos_config()).unwrap();
+    let addr = handle.addr;
+    let mut idle = Client::connect(addr, TIMEOUT).unwrap();
+    stop_with_an_idle_client(handle, &mut idle);
+    assert!(
+        idle.request(&Request::Ping).is_err(),
+        "the drained connection is closed"
+    );
+    assert!(
+        TcpStream::connect_timeout(&addr, Duration::from_secs(2)).is_err(),
+        "listener still accepting after drain"
+    );
+}
+
+/// The drain wakes the acceptor by connecting to the bound address; on
+/// a wildcard bind that must go to loopback.
+#[test]
+fn a_server_bound_to_the_wildcard_address_stops_promptly() {
+    let handle = spawn(ServeConfig {
+        addr: "0.0.0.0:0".into(),
+        ..chaos_config()
+    })
+    .unwrap();
+    let port = handle.addr.port();
+    let mut idle = Client::connect(("127.0.0.1", port), TIMEOUT).unwrap();
+    stop_with_an_idle_client(handle, &mut idle);
+}
+
+#[test]
+fn stop_answers_the_request_in_flight_and_the_one_queued_behind_it() {
+    let handle = spawn(ServeConfig {
+        workers: 1,
+        queue_cap: 1,
+        ..chaos_config()
+    })
+    .unwrap();
+    let addr = handle.addr;
+    // About 70M instructions: some 0.2 s on an optimised build, so the
+    // Run is still in flight when `stop` is called.
+    let busy = std::thread::spawn(move || {
+        let mut c = Client::connect(addr, TIMEOUT).unwrap();
+        c.request(&Request::Run(RunSpec {
+            name: "busy".into(),
+            src: loop_src(10_000_000),
+            target: Target::Baseline,
+            fuel: 0,
+            compile_budget_ms: 0,
+            no_cache: false,
+        }))
+    });
+    // The single worker has read the Run once the request is counted.
+    let deadline = Instant::now() + TIMEOUT;
+    while handle.stats().requests < 1 {
+        assert!(
+            Instant::now() < deadline,
+            "the Run never reached the worker"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut queued = TcpStream::connect(addr).unwrap();
+    queued.set_read_timeout(Some(TIMEOUT)).unwrap();
+    br_serve::wire::write_frame(&mut queued, &Request::Ping.encode()).unwrap();
+    // The acceptor takes connections in order, so once the next one is
+    // shed the Ping's connection holds the single queue slot.
+    let mut probe = Client::connect(addr, TIMEOUT).unwrap();
+    match probe.request(&Request::Ping) {
+        Ok(Response::Error {
+            kind: ErrorKind::Overloaded,
+            ..
+        }) => {}
+        other => panic!("expected the probe to be shed behind the queued Ping: {other:?}"),
+    }
+    handle.stop();
+
+    match busy.join().unwrap() {
+        Ok(Response::RunOk(replies)) => assert_eq!(replies.len(), 1),
+        other => panic!("the Run in flight at stop() was not answered: {other:?}"),
+    }
+    let payload = br_serve::wire::read_frame(&mut queued)
+        .unwrap()
+        .expect("the queued Ping is answered");
+    assert!(matches!(
+        Response::decode(&payload).unwrap(),
+        Response::Pong
+    ));
+    handle.join();
+}
+
+#[test]
+fn stop_after_a_wire_shutdown_neither_hangs_nor_panics() {
+    let handle = spawn(chaos_config()).unwrap();
+    let mut c = Client::connect(handle.addr, TIMEOUT).unwrap();
+    assert!(matches!(
+        c.request(&Request::Shutdown).unwrap(),
+        Response::ShutdownAck
+    ));
+    let start = Instant::now();
+    handle.stop();
+    handle.stop();
+    handle.join();
+    assert!(start.elapsed() < Duration::from_secs(5));
 }

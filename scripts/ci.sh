@@ -15,7 +15,8 @@
 # both translated machines, with the br-verify stage gates on, so
 # translated foreign code meets every checker), the ISA-coverage gate (br-prof
 # --check-coverage), the br-tv translation-validation + static-cost
-# gate, the br-explore replay-vs-live smoke, the br-serve chaos smoke,
+# gate, the br-explore replay-vs-live smoke, the br-serve chaos smoke
+# (which fails if the daemon has not exited 10 s after its Shutdown),
 # a short run of every benchmark workload (its own package, which
 # nothing else here builds), and the byte-identical golden
 # regeneration all passed. That benchmark run is the only perf step and
@@ -91,6 +92,18 @@ done
 serve_addr="$(cat "$port_file")"
 ./target/release/br-load --addr "$serve_addr" --smoke --chaos
 ./target/release/br-load --addr "$serve_addr" --shutdown
+# A drain that wedges must fail the step, not hang it: give the daemon
+# 10 s to exit.
+i=0
+while kill -0 "$serve_pid" 2>/dev/null; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+        echo "br-serve did not exit after Shutdown"
+        kill "$serve_pid" 2>/dev/null || true
+        exit 1
+    fi
+    sleep 0.1
+done
 wait "$serve_pid"
 
 echo "==> benchmark smoke, the one perf step (every workload for a few seconds; traced paper_suite checks all three tiers)"
