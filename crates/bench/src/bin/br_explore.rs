@@ -329,8 +329,9 @@ fn record_replay(
 }
 
 /// One live-hook emulation of the suite through `exp` for a single
-/// cache configuration (what `Experiment::run_with_cache` does). The
-/// artifact store keeps no codegen stats, and nothing here reads them.
+/// cache configuration, an `ICacheSim` attached through
+/// `Experiment::run_program_with`. The artifact store keeps no codegen
+/// stats, and nothing here reads them.
 fn live_suite(
     progs: &[Program],
     names: &[&'static str],

@@ -3,53 +3,89 @@
 //! sweep the paper lists as future work.
 
 use br_bench::{human, suite_args};
-use br_core::{suite, CacheConfig, Experiment, Machine};
+use br_core::{replay, suite, CacheConfig, CacheStats, Experiment, FetchTrace, Machine, Scale};
 
-fn run_config(
-    exp: &Experiment,
-    machine: Machine,
-    cfg: CacheConfig,
-    scale: br_core::Scale,
-) -> br_core::CacheStats {
-    let mut total = br_core::CacheStats::default();
-    for w in suite(scale) {
-        let (_, stats) = exp
-            .run_with_cache(&w.source, machine, cfg)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-        total.fetches += stats.fetches;
-        total.hits += stats.hits;
-        total.misses += stats.misses;
-        total.late_prefetch_hits += stats.late_prefetch_hits;
-        total.prefetch_hits += stats.prefetch_hits;
-        total.prefetches += stats.prefetches;
-        total.prefetch_dropped += stats.prefetch_dropped;
-        total.prefetch_redundant += stats.prefetch_redundant;
-        total.pollution += stats.pollution;
-        total.stall_cycles += stats.stall_cycles;
-        total.cycles += stats.cycles;
+/// Suite totals for each geometry the study reads on one machine.
+struct Totals {
+    cfgs: Vec<CacheConfig>,
+    stats: Vec<CacheStats>,
+}
+
+impl Totals {
+    /// Compile and record each program once on `machine`, then replay
+    /// its trace through every geometry in `cfgs` before recording the
+    /// next, so only one trace is live at a time.
+    fn of(exp: &Experiment, machine: Machine, cfgs: &[CacheConfig], scale: Scale) -> Totals {
+        let mut distinct: Vec<CacheConfig> = Vec::new();
+        for &cfg in cfgs {
+            if !distinct.contains(&cfg) {
+                distinct.push(cfg);
+            }
+        }
+        let mut stats = vec![CacheStats::default(); distinct.len()];
+        for w in suite(scale) {
+            let (prog, _) = exp
+                .compile(&w.source, machine)
+                .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+            let (_, trace) = FetchTrace::record(&prog, exp.fuel, exp.tier)
+                .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+            for (total, &cfg) in stats.iter_mut().zip(&distinct) {
+                total.accumulate(&replay(cfg, &trace).expect("the study's geometries are valid"));
+            }
+        }
+        Totals {
+            cfgs: distinct,
+            stats,
+        }
     }
-    total
+
+    fn get(&self, cfg: CacheConfig) -> CacheStats {
+        let i = self
+            .cfgs
+            .iter()
+            .position(|&c| c == cfg)
+            .expect("every geometry read was replayed");
+        self.stats[i]
+    }
 }
 
 fn main() {
     let scale = suite_args().scale;
     let exp = Experiment::new();
 
+    let paper = CacheConfig::default();
+    let no_prefetch = CacheConfig {
+        prefetch: false,
+        ..paper
+    };
+    let assoc_sweep = [(128, 1), (64, 2), (32, 4)].map(|(sets, assoc)| CacheConfig {
+        sets,
+        assoc,
+        ..paper
+    });
+    let line_sweep = [(128, 2), (64, 4), (32, 8)].map(|(sets, line_words)| CacheConfig {
+        sets,
+        line_words,
+        ..paper
+    });
+    let capacity_sweep = [8usize, 16, 32, 64, 128].map(|sets| CacheConfig { sets, ..paper });
+    let br_cfgs: Vec<CacheConfig> = [paper, no_prefetch]
+        .into_iter()
+        .chain(assoc_sweep)
+        .chain(line_sweep)
+        .chain(capacity_sweep)
+        .collect();
+    let br = Totals::of(&exp, Machine::BranchReg, &br_cfgs, scale);
+    let base_cfgs: Vec<CacheConfig> = [paper].into_iter().chain(capacity_sweep).collect();
+    let baseline = Totals::of(&exp, Machine::Baseline, &base_cfgs, scale);
+
     println!("Sections 8-9 instruction-cache study ({scale:?} scale)");
     println!();
 
     // 1. Prefetch benefit on the BR machine.
-    let on = run_config(&exp, Machine::BranchReg, CacheConfig::default(), scale);
-    let off = run_config(
-        &exp,
-        Machine::BranchReg,
-        CacheConfig {
-            prefetch: false,
-            ..CacheConfig::default()
-        },
-        scale,
-    );
-    let base = run_config(&exp, Machine::Baseline, CacheConfig::default(), scale);
+    let on = br.get(paper);
+    let off = br.get(no_prefetch);
+    let base = baseline.get(paper);
     println!("prefetch benefit (default 2 KiB 2-way cache, 8-cycle miss):");
     println!(
         "  {:<28} {:>14} {:>12} {:>12}",
@@ -99,20 +135,11 @@ fn main() {
         "  {:<8} {:>14} {:>12}",
         "assoc", "fetch stalls", "pollution"
     );
-    for (sets, assoc) in [(128, 1), (64, 2), (32, 4)] {
-        let s = run_config(
-            &exp,
-            Machine::BranchReg,
-            CacheConfig {
-                sets,
-                assoc,
-                ..CacheConfig::default()
-            },
-            scale,
-        );
+    for cfg in assoc_sweep {
+        let s = br.get(cfg);
         println!(
             "  {:<8} {:>14} {:>12}",
-            assoc,
+            cfg.assoc,
             human(s.stall_cycles),
             human(s.pollution)
         );
@@ -125,20 +152,11 @@ fn main() {
         "  {:<12} {:>14} {:>12}",
         "line words", "fetch stalls", "misses"
     );
-    for (sets, line_words) in [(128, 2), (64, 4), (32, 8)] {
-        let s = run_config(
-            &exp,
-            Machine::BranchReg,
-            CacheConfig {
-                sets,
-                line_words,
-                ..CacheConfig::default()
-            },
-            scale,
-        );
+    for cfg in line_sweep {
+        let s = br.get(cfg);
         println!(
             "  {:<12} {:>14} {:>12}",
-            line_words,
+            cfg.line_words,
             human(s.stall_cycles),
             human(s.misses)
         );
@@ -151,13 +169,9 @@ fn main() {
         "  {:<10} {:>16} {:>16}",
         "capacity", "baseline stalls", "br stalls"
     );
-    for sets in [8usize, 16, 32, 64, 128] {
-        let cfg = CacheConfig {
-            sets,
-            ..CacheConfig::default()
-        };
-        let b = run_config(&exp, Machine::Baseline, cfg, scale);
-        let r = run_config(&exp, Machine::BranchReg, cfg, scale);
+    for cfg in capacity_sweep {
+        let b = baseline.get(cfg);
+        let r = br.get(cfg);
         println!(
             "  {:<10} {:>16} {:>16}",
             format!("{} B", cfg.capacity()),

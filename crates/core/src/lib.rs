@@ -418,23 +418,6 @@ impl Experiment {
         Ok(RunResult::of(prog, stats, exit, &emu))
     }
 
-    /// Compile and run with an instruction-cache simulator attached.
-    ///
-    /// # Errors
-    ///
-    /// Any pipeline error.
-    pub fn run_with_cache(
-        &self,
-        src: &str,
-        machine: Machine,
-        cfg: CacheConfig,
-    ) -> Result<(RunResult, CacheStats), Error> {
-        let (prog, stats) = self.compile(src, machine)?;
-        let mut cache = ICacheSim::new(cfg);
-        let run = self.run_program_with(&prog, stats, &mut cache)?;
-        Ok((run, *cache.stats()))
-    }
-
     /// Run `src` on both machines and check they agree.
     ///
     /// # Errors
@@ -679,9 +662,10 @@ mod tests {
     fn cache_simulation_attaches() {
         let src = "int main() { int s = 0; for (int i = 0; i < 200; i++) s += i; return s % 256; }";
         let exp = Experiment::new();
-        let (run, cache) = exp
-            .run_with_cache(src, Machine::BranchReg, CacheConfig::default())
-            .unwrap();
+        let (prog, stats) = exp.compile(src, Machine::BranchReg).unwrap();
+        let mut sim = ICacheSim::new(CacheConfig::default());
+        let run = exp.run_program_with(&prog, stats, &mut sim).unwrap();
+        let cache = sim.stats();
         assert_eq!(cache.fetches, run.meas.instructions);
         assert!(cache.hits + cache.misses + cache.prefetch_hits + cache.late_prefetch_hits > 0);
     }

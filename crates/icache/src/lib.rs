@@ -215,25 +215,49 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    valid: bool,
+/// Tag of an empty way. A real tag is a line address shifted right by
+/// the set bits, and a line holds at least one 4-byte word, so real
+/// tags stay below 2^30 and never equal this.
+const INVALID: u32 = u32::MAX;
+
+/// One way of a set. All ways live in one `Vec`, so a lookup reads one
+/// contiguous run of these.
+#[derive(Debug, Clone, Copy)]
+struct Way {
+    /// The resident line's tag, or [`INVALID`].
     tag: u32,
+    /// Filled by prefetch and not yet demanded.
+    prefetched: bool,
     /// Cycle at which the fill completes.
     ready_at: u64,
     /// LRU timestamp.
     last_used: u64,
-    /// Filled by prefetch and not yet demanded.
-    prefetched_unused: bool,
+}
+
+impl Way {
+    const EMPTY: Way = Way {
+        tag: INVALID,
+        prefetched: false,
+        ready_at: 0,
+        last_used: 0,
+    };
 }
 
 /// The cache simulator. Attach to an emulator via
-/// [`Emulator::run_with_hook`](br_emu::Emulator::run_with_hook).
+/// [`Emulator::run_with_hook`](br_emu::Emulator::run_with_hook), or
+/// drive it from a recorded trace with [`replay`]; both run the same
+/// state machine.
 #[derive(Debug, Clone)]
 pub struct ICacheSim {
     cfg: CacheConfig,
-    lines: Vec<Line>, // sets * assoc, row-major by set
+    /// `sets * assoc` ways, row-major by set.
+    ways: Vec<Way>,
+    /// The counters. `fetches`, `hits` and `cycles` follow from the
+    /// clock and the others, so the hot paths leave them alone and
+    /// [`publish`](Self::publish) writes them at the end of each public
+    /// call.
     stats: CacheStats,
+    /// The clock: one cycle per fetch plus stalls, which is `cycles`.
     cycle: u64,
     /// `log2(line bytes)` — placement is shift/mask, not division
     /// (geometry is validated power-of-two at construction).
@@ -242,13 +266,13 @@ pub struct ICacheSim {
     set_mask: u32,
     /// `log2(sets)`.
     set_shift: u32,
-    /// Candidate in-flight prefetches as `(ready_at, line index)`,
-    /// pushed at install time. An entry goes stale when its line is
-    /// overwritten (the line's `ready_at` no longer matches) or the
+    /// Candidate in-flight prefetches as `(ready_at, way index)`,
+    /// pushed at install time. An entry goes stale when its way is
+    /// overwritten (the way's `ready_at` no longer matches) or the
     /// clock passes `ready_at`; [`in_flight`](Self::in_flight) filters
-    /// entries against the live line state, so the count equals the
-    /// full-scan definition (valid lines with `ready_at > now`) at
-    /// O(queue depth) cost instead of O(lines) per prefetch.
+    /// entries against the live way state, so the count equals the
+    /// full-scan definition (valid ways with `ready_at > now`) at
+    /// O(queue depth) cost instead of O(ways) per prefetch.
     pending: Vec<(u64, u32)>,
 }
 
@@ -259,7 +283,7 @@ impl ICacheSim {
         cfg.validate()?;
         Ok(ICacheSim {
             cfg,
-            lines: vec![Line::default(); cfg.sets * cfg.assoc],
+            ways: vec![Way::EMPTY; cfg.sets * cfg.assoc],
             stats: CacheStats::default(),
             cycle: 0,
             line_shift: 2 + (cfg.line_words as u32).trailing_zeros(),
@@ -302,81 +326,184 @@ impl ICacheSim {
         )
     }
 
-    fn lookup(&mut self, set: usize, tag: u32) -> Option<usize> {
-        let base = set * self.cfg.assoc;
-        (0..self.cfg.assoc)
-            .map(|i| base + i)
-            .find(|&i| self.lines[i].valid && self.lines[i].tag == tag)
+    /// The ways of `set`: `A` of them when the caller fixed the
+    /// associativity at compile time, else `cfg.assoc` (`A == 0`).
+    fn set_ways<const A: usize>(&self, set: usize) -> std::ops::Range<usize> {
+        let assoc = if A == 0 { self.cfg.assoc } else { A };
+        let base = set * assoc;
+        base..base + assoc
     }
 
-    /// Pick a victim way in `set` (invalid first, else LRU).
-    fn victim(&mut self, set: usize) -> usize {
-        let base = set * self.cfg.assoc;
-        if let Some(i) = (0..self.cfg.assoc)
+    /// The way of `set` holding `tag`, if any.
+    fn lookup<const A: usize>(&self, set: usize, tag: u32) -> Option<usize> {
+        let ways = self.set_ways::<A>(set);
+        let base = ways.start;
+        self.ways[ways]
+            .iter()
+            .position(|w| w.tag == tag)
             .map(|i| base + i)
-            .find(|&i| !self.lines[i].valid)
-        {
-            return i;
+    }
+
+    /// Pick a victim way in `set` (invalid first, else LRU with ties to
+    /// the first way), counting pollution when it evicts a prefetched
+    /// line that was never used.
+    fn victim<const A: usize>(&mut self, set: usize) -> usize {
+        let ways = self.set_ways::<A>(set);
+        let base = ways.start;
+        let row = &self.ways[ways];
+        let mut lru = 0;
+        for (i, w) in row.iter().enumerate() {
+            if w.tag == INVALID {
+                return base + i;
+            }
+            if w.last_used < row[lru].last_used {
+                lru = i;
+            }
         }
-        let i = (0..self.cfg.assoc)
-            .map(|i| base + i)
-            .min_by_key(|&i| self.lines[i].last_used)
-            .expect("assoc > 0");
-        if self.lines[i].prefetched_unused {
+        if row[lru].prefetched {
             self.stats.pollution += 1;
         }
-        i
+        base + lru
     }
 
-    /// Valid lines whose fill has not completed — the full-scan
-    /// definition `lines.iter().filter(|l| l.valid && l.ready_at > now)`
-    /// evaluated through the `pending` candidate list (every line with a
+    /// Valid ways whose fill has not completed — the full-scan
+    /// definition `ways.iter().filter(|w| valid && w.ready_at > now)`
+    /// evaluated through the `pending` candidate list (every way with a
     /// future `ready_at` was installed by a prefetch, the only writer of
     /// future ready times, so it has a matching candidate entry).
     fn in_flight(&mut self) -> usize {
         let now = self.cycle;
-        let lines = &self.lines;
+        let ways = &self.ways;
         self.pending.retain(|&(ready, i)| {
-            let l = &lines[i as usize];
-            l.valid && l.ready_at == ready && ready > now
+            let w = &ways[i as usize];
+            w.tag != INVALID && w.ready_at == ready && ready > now
         });
         self.pending.len()
+    }
+
+    /// Write the derived counters: `cycles` is the clock, every fetch
+    /// costs one cycle plus its stall, and a fetch that neither missed
+    /// nor met a prefetched line was a plain hit.
+    fn publish(&mut self) {
+        let s = &mut self.stats;
+        s.cycles = self.cycle;
+        s.fetches = self.cycle - s.stall_cycles;
+        s.hits = s.fetches - s.misses - s.late_prefetch_hits - s.prefetch_hits;
+    }
+
+    /// One demand fetch of `addr`, then `rest` more fetches inside the
+    /// same line with no other access between them. The line is looked
+    /// up once: after its first fetch it is valid, filled (a fetch never
+    /// leaves `ready_at > cycle`) and MRU, so the rest are plain hits
+    /// and only advance the clock.
+    fn demand<const A: usize>(&mut self, addr: u32, rest: u64) {
+        self.cycle += 1;
+        let (set, tag) = self.set_and_tag(addr);
+        let i = match self.lookup::<A>(set, tag) {
+            Some(i) => {
+                let way = &mut self.ways[i];
+                if way.ready_at > self.cycle {
+                    // Line still filling (late prefetch): partial stall.
+                    self.stats.late_prefetch_hits += 1;
+                    self.stats.stall_cycles += way.ready_at - self.cycle;
+                    self.cycle = way.ready_at;
+                } else if way.prefetched {
+                    self.stats.prefetch_hits += 1;
+                }
+                way.prefetched = false;
+                i
+            }
+            None => {
+                let stall = u64::from(self.cfg.miss_penalty);
+                self.stats.misses += 1;
+                self.stats.stall_cycles += stall;
+                self.cycle += stall;
+                let i = self.victim::<A>(set);
+                self.ways[i] = Way {
+                    tag,
+                    prefetched: false,
+                    ready_at: self.cycle,
+                    last_used: 0,
+                };
+                i
+            }
+        };
+        self.cycle += rest;
+        self.ways[i].last_used = self.cycle;
+    }
+
+    /// `len` sequential fetches from `addr`, one [`demand`](Self::demand)
+    /// per line touched.
+    fn demand_run<const A: usize>(&mut self, addr: u32, len: u32) {
+        let line_bytes = (self.cfg.line_words as u32) << 2;
+        let mut addr = addr;
+        let mut remaining = len;
+        while remaining > 0 {
+            let in_line = (line_bytes - (addr & (line_bytes - 1)))
+                .div_ceil(4)
+                .min(remaining);
+            self.demand::<A>(addr, u64::from(in_line - 1));
+            remaining -= in_line;
+            addr = addr.wrapping_add(in_line << 2);
+        }
+    }
+
+    /// A prefetch request for `addr`. It moves no derived counter.
+    fn request<const A: usize>(&mut self, addr: u32) {
+        if !self.cfg.prefetch {
+            return;
+        }
+        let (set, tag) = self.set_and_tag(addr);
+        if self.lookup::<A>(set, tag).is_some() {
+            self.stats.prefetch_redundant += 1;
+            return;
+        }
+        if self.in_flight() >= self.cfg.prefetch_queue {
+            self.stats.prefetch_dropped += 1;
+            return;
+        }
+        self.stats.prefetches += 1;
+        let ready = self.cycle + u64::from(self.cfg.miss_penalty);
+        let i = self.victim::<A>(set);
+        self.ways[i] = Way {
+            tag,
+            prefetched: true,
+            ready_at: ready,
+            last_used: self.cycle,
+        };
+        if ready > self.cycle {
+            // Overwriting a way retires its old candidate entry (a
+            // direct-mapped set can evict a same-cycle prefetch).
+            self.pending.retain(|&(_, j)| j as usize != i);
+            self.pending.push((ready, i as u32));
+        }
+    }
+
+    /// Every event of `trace`, with the associativity fixed at `A`, or
+    /// read from the configuration when `A == 0`.
+    fn replay_events<const A: usize>(&mut self, trace: &FetchTrace) {
+        for ev in trace.events() {
+            match ev {
+                TraceEvent::FetchRun { addr, len } => self.demand_run::<A>(addr, len),
+                TraceEvent::Prefetch { addr } => self.request::<A>(addr),
+            }
+        }
     }
 
     /// Simulate `len` sequential fetches starting at `addr` (addresses
     /// `addr, addr+4, …`) — one recorded straight-line extent.
     ///
-    /// Byte-identical to calling [`fetch`](ExecHook::fetch) `len` times,
-    /// but only the first fetch of each cache line takes the full
-    /// lookup path: once a line has been demand-fetched, the remaining
-    /// fetches inside it are guaranteed plain hits (the line is valid,
-    /// its fill is complete — `fetch` never returns with
-    /// `ready_at > cycle` — it is MRU, and no other access intervenes
-    /// within a run), so they are charged in one batched step. This is
+    /// Identical to calling [`fetch`](ExecHook::fetch) `len` times, but
+    /// each cache line the run touches is looked up once: after a line's
+    /// first demand fetch, the remaining fetches inside it are plain hits
+    /// (the line is valid, its fill is complete — a fetch never returns
+    /// with `ready_at > cycle` — it is MRU, and no other access
+    /// intervenes within a run), so they only advance the clock. This is
     /// what makes trace replay line-granular rather than
     /// instruction-granular.
     pub fn fetch_run(&mut self, addr: u32, len: u32) {
-        let line_bytes = (self.cfg.line_words as u32) << 2;
-        let mut addr = addr;
-        let mut remaining = len;
-        while remaining > 0 {
-            self.fetch(addr);
-            remaining -= 1;
-            let in_line = (line_bytes - (addr & (line_bytes - 1))) / 4 - 1;
-            let batched = in_line.min(remaining);
-            if batched > 0 {
-                let k = u64::from(batched);
-                self.cycle += k;
-                self.stats.cycles += k;
-                self.stats.fetches += k;
-                self.stats.hits += k;
-                let (set, tag) = self.set_and_tag(addr);
-                let i = self.lookup(set, tag).expect("line fetched above");
-                self.lines[i].last_used = self.cycle;
-                remaining -= batched;
-            }
-            addr = addr.wrapping_add((1 + batched) << 2);
-        }
+        self.demand_run::<0>(addr, len);
+        self.publish();
     }
 }
 
@@ -387,88 +514,26 @@ impl ICacheSim {
 /// without re-executing the program.
 pub fn replay(cfg: CacheConfig, trace: &FetchTrace) -> Result<CacheStats, CacheConfigError> {
     let mut sim = ICacheSim::try_new(cfg)?;
-    for ev in trace.events() {
-        match ev {
-            TraceEvent::FetchRun { addr, len } => sim.fetch_run(addr, len),
-            TraceEvent::Prefetch { addr } => sim.prefetch(addr),
-        }
+    // The sweeps' associativities get their own instances, whose way
+    // scans unroll.
+    match cfg.assoc {
+        1 => sim.replay_events::<1>(trace),
+        2 => sim.replay_events::<2>(trace),
+        4 => sim.replay_events::<4>(trace),
+        _ => sim.replay_events::<0>(trace),
     }
+    sim.publish();
     Ok(sim.stats)
 }
 
 impl ExecHook for ICacheSim {
     fn fetch(&mut self, addr: u32) {
-        self.cycle += 1;
-        self.stats.cycles += 1;
-        self.stats.fetches += 1;
-        let (set, tag) = self.set_and_tag(addr);
-        match self.lookup(set, tag) {
-            Some(i) => {
-                let line = &mut self.lines[i];
-                if line.ready_at > self.cycle {
-                    // Line still filling (late prefetch): partial stall.
-                    let stall = line.ready_at - self.cycle;
-                    self.stats.late_prefetch_hits += 1;
-                    self.stats.stall_cycles += stall;
-                    self.stats.cycles += stall;
-                    self.cycle = line.ready_at;
-                } else if line.prefetched_unused {
-                    self.stats.prefetch_hits += 1;
-                } else {
-                    self.stats.hits += 1;
-                }
-                let line = &mut self.lines[i];
-                line.prefetched_unused = false;
-                line.last_used = self.cycle;
-            }
-            None => {
-                self.stats.misses += 1;
-                let stall = self.cfg.miss_penalty as u64;
-                self.stats.stall_cycles += stall;
-                self.stats.cycles += stall;
-                self.cycle += stall;
-                let now = self.cycle;
-                let i = self.victim(set);
-                self.lines[i] = Line {
-                    valid: true,
-                    tag,
-                    ready_at: now,
-                    last_used: now,
-                    prefetched_unused: false,
-                };
-            }
-        }
+        self.demand::<0>(addr, 0);
+        self.publish();
     }
 
     fn prefetch(&mut self, addr: u32) {
-        if !self.cfg.prefetch {
-            return;
-        }
-        let (set, tag) = self.set_and_tag(addr);
-        if self.lookup(set, tag).is_some() {
-            self.stats.prefetch_redundant += 1;
-            return;
-        }
-        if self.in_flight() >= self.cfg.prefetch_queue {
-            self.stats.prefetch_dropped += 1;
-            return;
-        }
-        self.stats.prefetches += 1;
-        let ready = self.cycle + self.cfg.miss_penalty as u64;
-        let i = self.victim(set);
-        self.lines[i] = Line {
-            valid: true,
-            tag,
-            ready_at: ready,
-            last_used: self.cycle,
-            prefetched_unused: true,
-        };
-        if ready > self.cycle {
-            // Overwriting a line retires its old candidate entry (a
-            // direct-mapped set can evict a same-cycle prefetch).
-            self.pending.retain(|&(_, j)| j as usize != i);
-            self.pending.push((ready, i as u32));
-        }
+        self.request::<0>(addr);
     }
 }
 
@@ -747,11 +812,23 @@ mod tests {
             }
             assert_eq!(batched.stats(), scalar.stats(), "stats diverged: {cfg:?}");
             assert_eq!(batched.cycle, scalar.cycle, "clock diverged: {cfg:?}");
-            for (i, (a, b)) in batched.lines.iter().zip(scalar.lines.iter()).enumerate() {
+            for (i, (a, b)) in batched.ways.iter().zip(scalar.ways.iter()).enumerate() {
                 assert_eq!(
-                    (a.valid, a.tag, a.ready_at, a.last_used, a.prefetched_unused),
-                    (b.valid, b.tag, b.ready_at, b.last_used, b.prefetched_unused),
-                    "line {i} diverged: {cfg:?}"
+                    (
+                        a.tag != INVALID,
+                        a.tag,
+                        a.ready_at,
+                        a.last_used,
+                        a.prefetched
+                    ),
+                    (
+                        b.tag != INVALID,
+                        b.tag,
+                        b.ready_at,
+                        b.last_used,
+                        b.prefetched
+                    ),
+                    "way {i} diverged: {cfg:?}"
                 );
             }
         }
@@ -828,9 +905,9 @@ mod tests {
                 }
                 let now = c.cycle;
                 let scan = c
-                    .lines
+                    .ways
                     .iter()
-                    .filter(|l| l.valid && l.ready_at > now)
+                    .filter(|w| w.tag != INVALID && w.ready_at > now)
                     .count();
                 assert_eq!(c.in_flight(), scan, "in-flight count diverged: {cfg:?}");
             }

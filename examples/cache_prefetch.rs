@@ -6,7 +6,7 @@
 //! cargo run --example cache_prefetch [workload]
 //! ```
 
-use br_core::{by_name, CacheConfig, Experiment, Machine, Scale};
+use br_core::{by_name, CacheConfig, CacheStats, Experiment, ICacheSim, Machine, Scale};
 
 fn main() -> Result<(), br_core::Error> {
     let name = std::env::args()
@@ -33,16 +33,21 @@ fn main() -> Result<(), br_core::Error> {
     );
     println!();
 
-    let (_, base) = exp.run_with_cache(&w.source, Machine::Baseline, small)?;
-    let (_, off) = exp.run_with_cache(
-        &w.source,
+    let run = |machine, cfg| -> Result<CacheStats, br_core::Error> {
+        let (prog, stats) = exp.compile(&w.source, machine)?;
+        let mut sim = ICacheSim::new(cfg);
+        exp.run_program_with(&prog, stats, &mut sim)?;
+        Ok(*sim.stats())
+    };
+    let base = run(Machine::Baseline, small)?;
+    let off = run(
         Machine::BranchReg,
         CacheConfig {
             prefetch: false,
             ..small
         },
     )?;
-    let (_, on) = exp.run_with_cache(&w.source, Machine::BranchReg, small)?;
+    let on = run(Machine::BranchReg, small)?;
 
     println!(
         "{:<26} {:>10} {:>10} {:>12} {:>10}",

@@ -5,7 +5,9 @@
 # gate, the rustdoc link check, the full test suite, the named
 # cross-checks (observability and timing models, plus the allocator's
 # and the IR liveness's fast paths against their reference
-# implementations in `tests/dataflow_differential.rs`), a
+# implementations in `tests/dataflow_differential.rs`, and the
+# instruction-cache simulator against its reference in
+# `crates/torture/tests/icache_reference.rs`), a
 # 200-iteration differential fuzz run (interpreter vs baseline machine vs
 # branch-register machine, with the br-verify stage gates and the
 # static translation-validation oracle enabled), a 500-seed
@@ -47,7 +49,7 @@ cargo test -q --workspace
 echo "==> observability, timing-model and dataflow cross-checks (named, for log visibility)"
 cargo test -q --test profile_equivalence --test trace_hook_cap \
     --test icache_properties --test pipeline_crosscheck --test dataflow_differential
-cargo test -q -p br-torture --test replay_properties
+cargo test -q -p br-torture --test replay_properties --test icache_reference
 
 echo "==> torture smoke run (seed 42, 200 iterations, verify gates + tv oracle on, 4 jobs, 60s/case budget)"
 cargo run --release -p br-torture -- --seed 42 --iters 200 --verify --tv --jobs 4 --budget-ms 60000
