@@ -10,14 +10,16 @@
 //! The load mode drives Appendix I suite programs (Test scale) through
 //! `Run` requests on both machines, with the shared retry/backoff
 //! policy, and reports requests/sec, p50/p99 latency, and the server's
-//! cache hit rate. A malformed flag value exits with status 2. Timed
-//! serving figures come from the repository benchmark's `serve_mixed`
-//! workload (`benchmark/README.md`).
+//! cache hit rate. A malformed flag value or a missing `--addr` exits
+//! with status 2. Timed serving figures come from the repository
+//! benchmark's `serve_mixed` workload (`benchmark/README.md`).
 //!
 //! The smoke mode is the ci.sh end-to-end probe: it checks liveness,
-//! correctness of a differential run, typed error classification for a
-//! bad program, and — with `--chaos` — that a worker panic yields a
-//! typed `Internal` response and the server keeps answering afterwards.
+//! correctness of a differential run and of its repeat (which must come
+//! from the cache on both machines), typed error classification for a
+//! bad program sent twice, and — with `--chaos` — that a worker panic
+//! yields a typed `Internal` response and the server keeps answering
+//! afterwards. It expects a server with its artifact cache on.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -84,25 +86,26 @@ fn run_spec(w: &Workload, no_cache: bool) -> Request {
     })
 }
 
-/// Drive `requests` suite runs across `threads` connections; returns
-/// sorted per-request latencies (µs) and the error count.
+/// Drive exactly `requests` suite runs across `threads` connections,
+/// thread `t` sending requests `t`, `t + threads`, …; returns sorted
+/// per-request latencies (µs) and the error count.
 fn drive(addr: &str, requests: usize, threads: usize, seed: u64) -> (Vec<u64>, usize) {
     let progs = suite(Scale::Test);
     let threads = threads.max(1);
-    let per = requests.div_ceil(threads);
     let mut all = Vec::with_capacity(requests);
     let mut errors = 0usize;
     std::thread::scope(|s| {
         let mut handles = Vec::new();
         for t in 0..threads {
             let progs = &progs;
+            let mine = (t..requests).step_by(threads);
             handles.push(s.spawn(move || {
                 let policy = RetryPolicy::default();
                 let mut rng = Rng64::seed_from_u64(seed ^ (t as u64) << 32);
-                let mut lat = Vec::with_capacity(per);
+                let mut lat = Vec::with_capacity(requests / threads + 1);
                 let mut errs = 0usize;
-                for i in 0..per {
-                    let w = &progs[(t * per + i) % progs.len()];
+                for i in mine {
+                    let w = &progs[i % progs.len()];
                     let start = Instant::now();
                     match request_with_retry(addr, &run_spec(w, false), &policy, &mut rng) {
                         Ok(Response::RunOk(_)) => lat.push(start.elapsed().as_micros() as u64),
@@ -173,37 +176,45 @@ fn smoke(addr: &str, chaos: bool) -> ExitCode {
     );
 
     // A differential run must agree across machines and match locally
-    // computed ground truth.
+    // computed ground truth, and so must its repeat, which takes the
+    // warm path: both artifacts come from the cache.
     let progs = suite(Scale::Test);
     let w = &progs[0];
-    match c.request(&run_spec(w, false)) {
-        Ok(Response::RunOk(replies)) => {
-            expect!(replies.len() == 2, "expected 2 machine replies");
-            expect!(
-                replies[0].exit == replies[1].exit,
-                "machines disagree over the wire"
-            );
-            let local = br_core::Experiment::new()
-                .run_comparison(w.name, &w.source)
-                .expect("local ground truth");
-            expect!(
-                replies[0].exit == local.baseline.exit,
-                "server exit {} != local exit {}",
-                replies[0].exit,
-                local.baseline.exit
-            );
-            expect!(
-                replies[0].meas == local.baseline.meas && replies[1].meas == local.brmach.meas,
-                "server measurements differ from local run"
-            );
-        }
-        other => {
-            eprintln!("br-load smoke FAIL: run returned {other:?}");
-            return ExitCode::FAILURE;
+    let local = br_core::Experiment::new()
+        .run_comparison(w.name, &w.source)
+        .expect("local ground truth");
+    for (run, repeat) in [("first", false), ("repeated", true)] {
+        match c.request(&run_spec(w, false)) {
+            Ok(Response::RunOk(replies)) => {
+                expect!(replies.len() == 2, "{run} run: expected 2 machine replies");
+                expect!(
+                    replies[0].exit == replies[1].exit,
+                    "{run} run: machines disagree over the wire"
+                );
+                expect!(
+                    replies[0].exit == local.baseline.exit,
+                    "{run} run: server exit {} != local exit {}",
+                    replies[0].exit,
+                    local.baseline.exit
+                );
+                expect!(
+                    replies[0].meas == local.baseline.meas && replies[1].meas == local.brmach.meas,
+                    "{run} run: server measurements differ from local run"
+                );
+                expect!(
+                    !repeat || replies.iter().all(|r| r.cached),
+                    "repeated run was not served from the cache on both machines"
+                );
+            }
+            other => {
+                eprintln!("br-load smoke FAIL: {run} run returned {other:?}");
+                return ExitCode::FAILURE;
+            }
         }
     }
 
-    // A broken program must come back as a typed Frontend error.
+    // A broken program must come back as a typed Frontend error, on its
+    // repeat too.
     let bad = Request::Run(RunSpec {
         name: "bad".into(),
         src: "int main( {".into(),
@@ -212,16 +223,18 @@ fn smoke(addr: &str, chaos: bool) -> ExitCode {
         compile_budget_ms: 0,
         no_cache: false,
     });
-    expect!(
-        matches!(
-            c.request(&bad),
-            Ok(Response::Error {
-                kind: ErrorKind::Frontend,
-                ..
-            })
-        ),
-        "syntax error was not classified Frontend"
-    );
+    for run in ["first", "repeated"] {
+        expect!(
+            matches!(
+                c.request(&bad),
+                Ok(Response::Error {
+                    kind: ErrorKind::Frontend,
+                    ..
+                })
+            ),
+            "{run} syntax error was not classified Frontend"
+        );
+    }
 
     // A tiny fuel budget must come back as a typed emulation deadline.
     let starved = Request::Run(RunSpec {
@@ -277,7 +290,7 @@ fn main() -> ExitCode {
 
     let Some(addr) = args.addr.clone() else {
         eprintln!("br-load: --addr required");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
 
     if args.shutdown {

@@ -22,7 +22,7 @@
 //!   drain ends idle connections at once instead of waiting out the
 //!   read timeout.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -33,7 +33,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use br_core::{Error, Experiment, Machine};
+use br_core::{CompileError, Error, Experiment, Machine};
+use br_ir::Module;
 
 use crate::cache::{Cache, Origin};
 use crate::proto::{
@@ -101,6 +102,49 @@ struct Counters {
     disconnects: AtomicU64,
 }
 
+/// The IR module fingerprint of every source this server has served,
+/// keyed by the exact source text, so a repeated request forms its
+/// cache keys without running the front end. A source is added only
+/// once its request's artifacts are in the cache, so a front-end
+/// failure is never remembered and the map grows only with the cache.
+#[derive(Default)]
+struct Fingerprints {
+    by_source: Mutex<HashMap<String, u64>>,
+    /// Front-end runs on the request path; the tests assert on it.
+    lowerings: AtomicU64,
+}
+
+impl Fingerprints {
+    fn get(&self, src: &str) -> Option<u64> {
+        let map = self
+            .by_source
+            .lock()
+            .expect("no thread panics holding the map");
+        map.get(src).copied()
+    }
+
+    fn insert(&self, src: &str, module_fp: u64) {
+        let mut map = self
+            .by_source
+            .lock()
+            .expect("no thread panics holding the map");
+        map.insert(src.to_string(), module_fp);
+    }
+
+    /// The request's module from `slot`, lowering `src` into it on first
+    /// use: at most one front-end run per request.
+    fn module<'m>(&self, slot: &'m mut Option<Module>, src: &str) -> Result<&'m Module, Error> {
+        let module = match slot.take() {
+            Some(m) => m,
+            None => {
+                self.lowerings.fetch_add(1, Ordering::Relaxed);
+                br_frontend::compile(src).map_err(CompileError::Frontend)?
+            }
+        };
+        Ok(slot.insert(module))
+    }
+}
+
 struct Shared {
     cfg: ServeConfig,
     /// The bound address: [`Shared::begin_shutdown`] connects here to
@@ -121,6 +165,7 @@ struct Shared {
     /// soon as `spawn` returns is never shed by an idle server.
     idle: AtomicU64,
     cache: Cache,
+    fingerprints: Fingerprints,
     counters: Counters,
 }
 
@@ -264,6 +309,7 @@ pub fn spawn(cfg: ServeConfig) -> io::Result<ServerHandle> {
 
     let shared = Arc::new(Shared {
         cache: Cache::new(cfg.cache_dir.clone()),
+        fingerprints: Fingerprints::default(),
         idle: AtomicU64::new(workers as u64),
         cfg,
         addr,
@@ -613,9 +659,18 @@ fn run_spec(shared: &Shared, spec: &RunSpec) -> Result<Vec<MachineReply>, Error>
         ..Experiment::new()
     };
 
-    // Lower once; the front end is machine-independent.
-    let module = br_frontend::compile(&spec.src).map_err(br_core::CompileError::Frontend)?;
-    let module_fp = module.fingerprint();
+    // A request through the cache names its artifacts by the module
+    // fingerprint, which the map holds for every source served before.
+    // The machine-independent front end runs at most once per request,
+    // and only when the fingerprint or a compile needs the module.
+    let fingerprints = &shared.fingerprints;
+    let mut module = None;
+    let use_cache = cfg.cache && !spec.no_cache;
+    let known_fp = use_cache.then(|| fingerprints.get(&spec.src)).flatten();
+    let module_fp = match known_fp {
+        None if use_cache => Some(fingerprints.module(&mut module, &spec.src)?.fingerprint()),
+        fp => fp,
+    };
 
     let machines: &[Machine] = match spec.target {
         Target::Baseline => &[Machine::Baseline],
@@ -623,21 +678,22 @@ fn run_spec(shared: &Shared, spec: &RunSpec) -> Result<Vec<MachineReply>, Error>
         Target::Both => &[Machine::Baseline, Machine::BranchReg],
     };
 
-    let use_cache = cfg.cache && !spec.no_cache;
     let mut replies = Vec::with_capacity(machines.len());
     for &machine in machines {
         let opts_fp = match machine {
             Machine::Baseline => exp.base_opts.fingerprint(),
             Machine::BranchReg => exp.br_opts.fingerprint(),
         };
-        let (artifact, origin) = if use_cache {
-            let key = Cache::key(module_fp, opts_fp, machine, exp.verify);
-            shared.cache.get_or_compile(key, || {
-                exp.compile_module_budgeted(&module, machine, deadline)
-            })?
-        } else {
-            let compiled = exp.compile_module_budgeted(&module, machine, deadline)?;
-            (Arc::new(compiled), Origin::Compiled)
+        let mut compile = || {
+            let module = fingerprints.module(&mut module, &spec.src)?;
+            exp.compile_module_budgeted(module, machine, deadline)
+        };
+        let (artifact, origin) = match module_fp {
+            Some(fp) => {
+                let key = Cache::key(fp, opts_fp, machine, exp.verify);
+                shared.cache.get_or_compile(key, compile)?
+            }
+            None => (Arc::new(compile()?), Origin::Compiled),
         };
         let (prog, stats) = &*artifact;
         let run = exp.run_program(prog, *stats)?;
@@ -649,6 +705,11 @@ fn run_spec(shared: &Shared, spec: &RunSpec) -> Result<Vec<MachineReply>, Error>
             stats: run.stats,
             meas: run.meas,
         });
+    }
+
+    // Every artifact of the request is in the cache now.
+    if let (None, Some(fp)) = (known_fp, module_fp) {
+        fingerprints.insert(&spec.src, fp);
     }
 
     // In-server differential check for Both runs.
@@ -666,6 +727,10 @@ fn run_spec(shared: &Shared, spec: &RunSpec) -> Result<Vec<MachineReply>, Error>
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use crate::client::Client;
+    use br_core::RunResult;
+
     /// `run_spec` runs on `Experiment::new()`'s tier, so this covers the
     /// server's runs too.
     #[test]
@@ -676,5 +741,163 @@ mod tests {
             .expect("compiles");
         let emu = br_emu::Emulator::new(&prog);
         assert_eq!([exp.tier, emu.tier()], [br_emu::ExecTier::Traced; 2]);
+    }
+
+    const SRC: &str = "
+        int g;
+        int main() {
+            int i; int s;
+            s = 0;
+            for (i = 0; i < 50; i = i + 1) { s = s + i; g = s; }
+            return s & 255;
+        }
+    ";
+
+    /// A server, one connection to it, and its front-end run count.
+    struct Fixture {
+        handle: ServerHandle,
+        client: Client,
+    }
+
+    impl Fixture {
+        fn new() -> Fixture {
+            let handle = spawn(ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            })
+            .expect("server starts");
+            let client = Client::connect(handle.addr, Duration::from_secs(30)).expect("connects");
+            Fixture { handle, client }
+        }
+
+        fn lowerings(&self) -> u64 {
+            let fingerprints = &self.handle.shared.fingerprints;
+            fingerprints.lowerings.load(Ordering::Relaxed)
+        }
+
+        fn send(&mut self, target: Target, src: &str, no_cache: bool) -> Response {
+            let req = Request::Run(RunSpec {
+                name: "fingerprints".into(),
+                src: src.into(),
+                target,
+                fuel: 0,
+                compile_budget_ms: 0,
+                no_cache,
+            });
+            self.client.request(&req).expect("answered")
+        }
+
+        fn run(&mut self, target: Target, src: &str, no_cache: bool) -> Vec<MachineReply> {
+            match self.send(target, src, no_cache) {
+                Response::RunOk(replies) => replies,
+                other => panic!("run failed: {other:?}"),
+            }
+        }
+
+        fn finish(self) {
+            self.handle.stop();
+            self.handle.join();
+        }
+    }
+
+    fn cached(replies: &[MachineReply]) -> Vec<bool> {
+        replies.iter().map(|r| r.cached).collect()
+    }
+
+    fn assert_matches(reply: &MachineReply, local: &RunResult) {
+        assert_eq!(reply.exit, local.exit);
+        assert_eq!(reply.static_insts as usize, local.static_insts);
+        assert_eq!(reply.stats, local.stats);
+        assert_eq!(reply.meas, local.meas);
+    }
+
+    #[test]
+    fn repeated_source_runs_the_front_end_once() {
+        let mut f = Fixture::new();
+        let first = f.run(Target::Both, SRC, false);
+        assert_eq!(cached(&first), [false, false]);
+        assert_eq!(f.lowerings(), 1);
+        for _ in 0..5 {
+            let again = f.run(Target::Both, SRC, false);
+            assert_eq!(cached(&again), [true, true]);
+            for (a, b) in first.iter().zip(&again) {
+                assert_eq!((a.exit, &a.meas), (b.exit, &b.meas));
+            }
+        }
+        assert_eq!(f.lowerings(), 1, "warm repeats skip the front end");
+        f.finish();
+    }
+
+    #[test]
+    fn a_known_source_lowers_lazily_for_an_uncached_machine() {
+        let mut f = Fixture::new();
+        let base = f.run(Target::Baseline, SRC, false);
+        assert_eq!(cached(&base), [false]);
+        assert_eq!(f.lowerings(), 1);
+
+        // The baseline artifact is cached, the branch-register one is
+        // not: the fingerprint comes from the map and the module is
+        // lowered inside the one compile that runs.
+        let both = f.run(Target::Both, SRC, false);
+        assert_eq!(cached(&both), [true, false]);
+        assert_eq!(f.lowerings(), 2);
+
+        let local = Experiment::new()
+            .run_comparison("fingerprints", SRC)
+            .expect("local ground truth");
+        assert_matches(&base[0], &local.baseline);
+        assert_matches(&both[0], &local.baseline);
+        assert_matches(&both[1], &local.brmach);
+
+        assert_eq!(cached(&f.run(Target::Both, SRC, false)), [true, true]);
+        assert_eq!(f.lowerings(), 2);
+        f.finish();
+    }
+
+    #[test]
+    fn whitespace_and_comment_variants_share_artifacts() {
+        let mut f = Fixture::new();
+        let first = f.run(Target::Both, SRC, false);
+        let variant = "// The same program, laid out differently.\n\
+            int g; int main() { int i; int s; s = 0; /* sum */\n\
+            for (i = 0; i < 50; i = i + 1) { s = s + i; g = s; } return s & 255; }";
+        let again = f.run(Target::Both, variant, false);
+        assert_eq!(cached(&again), [true, true]);
+        for (a, b) in first.iter().zip(&again) {
+            assert_eq!((a.exit, &a.meas), (b.exit, &b.meas));
+        }
+        assert_eq!(f.lowerings(), 2, "a new text is lowered once");
+        f.run(Target::Both, variant, false);
+        assert_eq!(f.lowerings(), 2);
+        f.finish();
+    }
+
+    #[test]
+    fn front_end_failures_and_uncached_requests_lower_every_time() {
+        let mut f = Fixture::new();
+        let bad = "int main( {";
+        for n in 1..=3 {
+            let resp = f.send(Target::Both, bad, false);
+            assert!(
+                matches!(
+                    resp,
+                    Response::Error {
+                        kind: ErrorKind::Frontend,
+                        ..
+                    }
+                ),
+                "{resp:?}"
+            );
+            assert_eq!(f.lowerings(), n, "a failure is never remembered");
+        }
+
+        f.run(Target::Both, SRC, false);
+        assert_eq!(f.lowerings(), 4);
+        for n in 5..=7 {
+            let replies = f.run(Target::Both, SRC, true);
+            assert_eq!(cached(&replies), [false, false]);
+            assert_eq!(f.lowerings(), n, "no_cache bypasses the map");
+        }
+        f.finish();
     }
 }
