@@ -3,6 +3,7 @@
 //! sweep the paper lists as future work.
 
 use br_bench::{human, suite_args};
+use br_core::parallel::map_ordered;
 use br_core::{replay, suite, CacheConfig, CacheStats, Experiment, FetchTrace, Machine, Scale};
 
 /// Suite totals for each geometry the study reads on one machine.
@@ -13,24 +14,38 @@ struct Totals {
 
 impl Totals {
     /// Compile and record each program once on `machine`, then replay
-    /// its trace through every geometry in `cfgs` before recording the
-    /// next, so only one trace is live at a time.
-    fn of(exp: &Experiment, machine: Machine, cfgs: &[CacheConfig], scale: Scale) -> Totals {
+    /// its trace through every geometry in `cfgs`. The programs fan over
+    /// `jobs` workers, each of which drops its trace before taking the
+    /// next program, so at most `jobs` traces are live at a time. The
+    /// per-program stats are summed in suite order.
+    fn of(
+        exp: &Experiment,
+        machine: Machine,
+        cfgs: &[CacheConfig],
+        scale: Scale,
+        jobs: usize,
+    ) -> Totals {
         let mut distinct: Vec<CacheConfig> = Vec::new();
         for &cfg in cfgs {
             if !distinct.contains(&cfg) {
                 distinct.push(cfg);
             }
         }
-        let mut stats = vec![CacheStats::default(); distinct.len()];
-        for w in suite(scale) {
+        let per_program = map_ordered(&suite(scale), jobs, |_, w| {
             let (prog, _) = exp
                 .compile(&w.source, machine)
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name));
             let (_, trace) = FetchTrace::record(&prog, exp.fuel, exp.tier)
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-            for (total, &cfg) in stats.iter_mut().zip(&distinct) {
-                total.accumulate(&replay(cfg, &trace).expect("the study's geometries are valid"));
+            distinct
+                .iter()
+                .map(|&cfg| replay(cfg, &trace).expect("the study's geometries are valid"))
+                .collect::<Vec<CacheStats>>()
+        });
+        let mut stats = vec![CacheStats::default(); distinct.len()];
+        for program in &per_program {
+            for (total, s) in stats.iter_mut().zip(program) {
+                total.accumulate(s);
             }
         }
         Totals {
@@ -50,7 +65,8 @@ impl Totals {
 }
 
 fn main() {
-    let scale = suite_args().scale;
+    let args = suite_args();
+    let scale = args.scale;
     let exp = Experiment::new();
 
     let paper = CacheConfig::default();
@@ -75,9 +91,9 @@ fn main() {
         .chain(line_sweep)
         .chain(capacity_sweep)
         .collect();
-    let br = Totals::of(&exp, Machine::BranchReg, &br_cfgs, scale);
+    let br = Totals::of(&exp, Machine::BranchReg, &br_cfgs, scale, args.jobs);
     let base_cfgs: Vec<CacheConfig> = [paper].into_iter().chain(capacity_sweep).collect();
-    let baseline = Totals::of(&exp, Machine::Baseline, &base_cfgs, scale);
+    let baseline = Totals::of(&exp, Machine::Baseline, &base_cfgs, scale, args.jobs);
 
     println!("Sections 8-9 instruction-cache study ({scale:?} scale)");
     println!();

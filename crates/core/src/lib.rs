@@ -217,7 +217,11 @@ pub struct Experiment {
     /// (`0` = auto-detect, `1` = serial, the default). Output is
     /// byte-identical at every level — instruction selection stays
     /// serial so the shared constant pool keeps its layout, and
-    /// per-function results reassemble in module order.
+    /// per-function results reassemble in module order. It does not
+    /// set how a comparison runs: [`Experiment::run_comparison`] always
+    /// compiles on the calling thread and emulates its two machines on
+    /// two threads, reporting errors in the serial order; a baseline
+    /// run error waits for the branch-register run to end.
     pub jobs: usize,
     /// Emulator execution tier for the experiment's runs. All tiers
     /// produce byte-identical [`br_emu::Measurements`] and differ only
@@ -420,10 +424,21 @@ impl Experiment {
 
     /// Run `src` on both machines and check they agree.
     ///
+    /// Each comparison uses two threads. Both binaries compile on the
+    /// calling thread, then a scoped helper thread emulates the
+    /// branch-register binary while the caller emulates the baseline
+    /// one. Results do not depend on this: they equal two serial
+    /// [`Experiment::run_program`] calls.
+    ///
     /// # Errors
     ///
     /// Any pipeline error, or [`Error::Mismatch`] when the machines
-    /// disagree.
+    /// disagree. With several failures the first in this order is
+    /// reported, as a serial run would: baseline compile, baseline run,
+    /// branch-register compile, branch-register run, mismatch. A
+    /// baseline run error returns only once the branch-register run has
+    /// ended, which [`Experiment::fuel`] bounds. A panic on the helper
+    /// thread is resumed on the caller with its payload.
     pub fn run_comparison(&self, name: &str, src: &str) -> Result<ProgramComparison, Error> {
         // The front end is machine-independent: lower once, codegen twice.
         let module = br_frontend::compile(src)?;
@@ -432,7 +447,8 @@ impl Experiment {
 
     /// Translate an RV32I image (see `br-ingest` and INGEST.md) and run
     /// it on both machines, checking that they agree (the translated
-    /// analogue of [`run_comparison`]).
+    /// analogue of [`run_comparison`]). As there, the two machines
+    /// emulate at the same time on two threads.
     ///
     /// [`run_comparison`]: Experiment::run_comparison
     ///
@@ -440,7 +456,9 @@ impl Experiment {
     ///
     /// [`CompileError::Ingest`] when the image is rejected (truncated,
     /// bad entry, illegal or unsupported instruction words), any other
-    /// pipeline error, or [`Error::Mismatch`] when the machines disagree.
+    /// pipeline error, or [`Error::Mismatch`] when the machines disagree,
+    /// first in [`run_comparison`]'s order. A baseline run error returns
+    /// only once the branch-register run has ended.
     pub fn run_rv32_comparison(
         &self,
         name: &str,
@@ -451,14 +469,28 @@ impl Experiment {
     }
 
     /// Run `module` on both machines and report [`Error::Mismatch`] when
-    /// their exit values differ.
+    /// their exit values differ. Both binaries compile on the calling
+    /// thread, baseline first; the two runs share nothing, so one scoped
+    /// helper emulates the branch-register binary meanwhile. Errors keep
+    /// the serial order given on [`Experiment::run_comparison`].
     fn compare_machines(
         &self,
         name: &str,
         module: &br_ir::Module,
     ) -> Result<ProgramComparison, Error> {
-        let baseline = self.run_module(module, Machine::Baseline)?;
-        let brmach = self.run_module(module, Machine::BranchReg)?;
+        let (base_prog, base_stats) = self.compile_module_for(module, Machine::Baseline)?;
+        let br = self.compile_module_for(module, Machine::BranchReg);
+        let (baseline, brmach) = std::thread::scope(|s| {
+            let helper = br
+                .as_ref()
+                .map(|(prog, stats)| s.spawn(|| self.run_program(prog, *stats)));
+            let baseline = self.run_program(&base_prog, base_stats);
+            let brmach = helper
+                .map_err(Clone::clone)
+                .and_then(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            (baseline, brmach)
+        });
+        let (baseline, brmach) = (baseline?, brmach?);
         if baseline.exit != brmach.exit {
             return Err(Error::Mismatch {
                 name: name.to_string(),
@@ -740,6 +772,63 @@ mod tests {
         // Sanity: identical programs cannot mismatch.
         let ok = Experiment::new().run_comparison("x", "int main() { return 3; }");
         assert!(ok.is_ok());
+    }
+
+    /// `cmp` against a serial reference: `module` compiled and run on
+    /// each machine in turn, on this thread.
+    fn assert_serial_equal(exp: &Experiment, module: &br_ir::Module, cmp: &ProgramComparison) {
+        for (m, got) in [
+            (Machine::Baseline, &cmp.baseline),
+            (Machine::BranchReg, &cmp.brmach),
+        ] {
+            let (prog, stats) = exp.compile_module_for(module, m).unwrap();
+            let want = exp.run_program(&prog, stats).unwrap();
+            let what = format!("{} on {m:?}", cmp.name);
+            assert_eq!(got.exit, want.exit, "{what}: exit");
+            assert_eq!(got.meas, want.meas, "{what}: measurements");
+            assert_eq!(got.stats, want.stats, "{what}: codegen stats");
+            assert_eq!(got.static_insts, want.static_insts, "{what}: static insts");
+        }
+    }
+
+    #[test]
+    fn concurrent_comparison_equals_the_serial_reference() {
+        let exp = Experiment::new();
+        for w in suite(Scale::Test) {
+            let module = br_frontend::compile(&w.source).unwrap();
+            let cmp = exp.run_comparison(w.name, &w.source).unwrap();
+            assert_serial_equal(&exp, &module, &cmp);
+        }
+        for (name, image) in br_ingest::workloads::all() {
+            let module = br_ingest::translate(&image).unwrap();
+            let cmp = exp.run_rv32_comparison(name, &image).unwrap();
+            assert_serial_equal(&exp, &module, &cmp);
+        }
+    }
+
+    #[test]
+    fn a_fault_on_both_machines_reports_the_baseline_error() {
+        // IR opts cannot fold a load of the global `z`, and the loop
+        // gives the two binaries different layouts before the division.
+        let src = "int z; int main() { int s = 0; \
+                   for (int i = 0; i < 9; i++) s += i; return s / z; }";
+        let exp = Experiment::new();
+        let module = br_frontend::compile(src).unwrap();
+        let fault_pc = |m| {
+            let (prog, stats) = exp.compile_module_for(&module, m).unwrap();
+            match exp.run_program(&prog, stats) {
+                Err(Error::Emu(EmuError::DivByZero(pc))) => pc,
+                other => panic!("expected a division by zero on {m:?}, got {other:?}"),
+            }
+        };
+        let base_pc = fault_pc(Machine::Baseline);
+        assert_ne!(base_pc, fault_pc(Machine::BranchReg), "faults must differ");
+        for _ in 0..50 {
+            assert_eq!(
+                exp.run_comparison("div0", src).unwrap_err(),
+                Error::Emu(EmuError::DivByZero(base_pc))
+            );
+        }
     }
 
     #[test]

@@ -336,6 +336,103 @@ mod tests {
         }
     }
 
+    /// Where a body's code, symbol and block counts sit, each with the
+    /// fewest bytes one of its entries takes, and where its data
+    /// segment's bytes sit.
+    fn layout(body: &[u8]) -> ([(usize, usize); 3], std::ops::Range<usize>) {
+        let u32_at = |at: usize| u32::from_le_bytes(body[at..at + 4].try_into().unwrap()) as usize;
+        let code = 5;
+        let bitmap = code + 4 + 4 * u32_at(code);
+        let data = bitmap + 4 + u32_at(bitmap);
+        let symbols = data + 4 + u32_at(data);
+        let mut blocks = symbols + 4;
+        for _ in 0..u32_at(symbols) {
+            blocks += 4 + u32_at(blocks) + 4;
+        }
+        // Code word; name length and address; mark word, function name
+        // length and label tag.
+        let counts = [(code, 4), (symbols, 8), (blocks, 9)];
+        (counts, data + 4..symbols)
+    }
+
+    /// A checksum stops a mutated artifact before its body is decoded,
+    /// so these mutations are re-sealed: each Test-scale suite binary,
+    /// on both machines, with seeded single-bit flips, cut at every
+    /// length (at a stride inside the data segment), and with each
+    /// count at 0, at `u32::MAX` and one past the body. Every input
+    /// must load or give an `ArtifactError`, and every program that
+    /// loads must validate and run at small fuel to a typed result,
+    /// never a panic.
+    #[test]
+    fn resealed_mutations_load_and_run_without_panicking() {
+        use br_workloads::rng::Rng64;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let exp = Experiment {
+            fuel: 10_000,
+            ..Experiment::new()
+        };
+        let mut bodies = Vec::new();
+        for w in br_core::suite(br_core::Scale::Test) {
+            for m in [Machine::Baseline, Machine::BranchReg] {
+                let (prog, stats) = exp.compile(&w.source, m).expect("suite compiles");
+                bodies.push((
+                    format!("{} on {m:?}", w.name),
+                    serialize(&prog, &stats)[12..].to_vec(),
+                ));
+            }
+        }
+        let (mut loaded, mut checked) = (0, 0);
+        let mut check = |body: &[u8], what: &dyn Fn() -> String| {
+            checked += 1;
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let (prog, stats) = deserialize(&seal(body)).ok()?;
+                let _ = prog.validate_image();
+                let _ = exp.run_program(&prog, stats);
+                Some(())
+            }));
+            match outcome {
+                Ok(run) => loaded += usize::from(run.is_some()),
+                Err(_) => panic!("{} panicked", what()),
+            }
+        };
+        for (name, body) in &bodies {
+            let (counts, data) = layout(body);
+            // The loader takes the data segment as one slice, so every
+            // cut inside it fails at the same read: a stride covers them
+            // and keeps the test fast despite the 64 KiB segments.
+            let cuts =
+                (0..body.len()).filter(|cut| !data.contains(cut) || (cut - data.start) % 4096 == 0);
+            for cut in cuts {
+                check(&body[..cut], &|| format!("{name} cut at {cut}"));
+            }
+            for (at, entry) in counts {
+                let past = (body.len() - at - 4) / entry + 1;
+                for v in [0, u32::MAX, past as u32] {
+                    let mut m = body.clone();
+                    m[at..at + 4].copy_from_slice(&v.to_le_bytes());
+                    check(&m, &|| format!("{name} with the count at {at} set to {v}"));
+                }
+            }
+        }
+        for seed in 0..6 {
+            let mut rng = Rng64::seed_from_u64(seed);
+            for (name, body) in &bodies {
+                for _ in 0..16 {
+                    let bit = rng.random_range(0..8 * body.len());
+                    let mut m = body.clone();
+                    m[bit / 8] ^= 1 << (bit % 8);
+                    check(&m, &|| {
+                        format!("{name} with bit {bit} flipped (seed {seed})")
+                    });
+                }
+            }
+        }
+        // The flips must reach the loader's success path, not only its
+        // errors.
+        assert!(loaded > 0, "none of {checked} mutations loaded");
+    }
+
     #[test]
     fn error_displays_are_self_contained() {
         let errs = [

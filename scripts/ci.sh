@@ -21,7 +21,9 @@
 # (which fails if the daemon has not exited 10 s after its Shutdown),
 # a short run of every benchmark workload (its own package, which
 # nothing else here builds), and the byte-identical golden
-# regeneration all passed. That benchmark run is the only perf step and
+# regeneration all passed, with `table1` and `cache_study` regenerated a
+# second time at `--jobs 1` so that no paper output depends on the
+# thread count. That benchmark run is the only perf step and
 # has no throughput floor: regressions are judged by running the
 # benchmark on a change and its parent under BENCHMARK.json's bounds.
 # See TORTURE.md for what the torture harness checks, VERIFY.md for the
@@ -124,6 +126,13 @@ for f in results/*.txt results/profile_suite.json results/tv_report.json \
          results/explore_pareto.json; do
     if ! diff -u "$f" "$regen_dir/$(basename "$f")"; then
         echo "GOLDEN DRIFT: $f no longer regenerates byte-identical"
+        exit 1
+    fi
+done
+for bin in table1 cache_study; do
+    ./target/release/"$bin" --paper --jobs 1 > "$regen_dir/$bin.jobs1.txt"
+    if ! diff -u "results/$bin.txt" "$regen_dir/$bin.jobs1.txt"; then
+        echo "GOLDEN DRIFT: results/$bin.txt differs at --jobs 1"
         exit 1
     fi
 done
