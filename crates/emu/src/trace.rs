@@ -21,17 +21,24 @@
 //!   `call`'s link write). `jmpl`, `halt`, and data words end the trace
 //!   *before* themselves so the threaded loop replays their exact
 //!   interpreter behavior.
-//! * **Branch register** — instructions with `br == 0` fall through and
-//!   stitch as `Ctl::Plain`. A compare-and-branch (`br != 0`) usually
-//!   falls through too, so it becomes a `Ctl::BrGuard`: the full
-//!   transfer bookkeeping (fused fast-compare re-read, Figure 9
-//!   distance histogram, `b[7]` side effect) runs, and the trace
-//!   continues unless control actually left the fall-through path. Any
-//!   other `br != 0` op (calls, returns, computed jumps) has a
-//!   genuinely dynamic target: it ends the superblock as a
-//!   `Ctl::BrTail`, which hands that target back to
-//!   `Emulator::trace_dispatch` to chain straight into the next
-//!   superblock without touching the outer loop.
+//! * **Branch register** — every op stitches, and any op with `br != 0`
+//!   becomes a `Ctl::BrXfer`: it replays the full transfer bookkeeping
+//!   (fused fast-compare re-read, Figure 9 distance histogram, `b[7]`
+//!   return address) and the trace continues only if the dynamic
+//!   target is the next trace op's pc; otherwise it exits to that
+//!   target. Formation follows each transfer's *predicted* target: it
+//!   tracks every branch register through the stitched ops (`bcalc`
+//!   sets its immediate, `bmovb` copies, `bmovr`/`bload` make the
+//!   register unknown, each transfer sets `b[7]` to `pc + 4`, and a
+//!   compare is predicted not taken, so `b[7]` gets its fall-through),
+//!   starting from the emulator's branch registers at trace entry. That
+//!   entry rule is what lets a loop run through: the compiler hoists
+//!   target calculations out of loops (Section 5), so the value at
+//!   entry is the loop's value. So a hot loop becomes one superblock
+//!   with its carriers, static jumps, calls and returns, and unrolls
+//!   like the baseline's. The trace ends at a transfer whose predicted
+//!   target is unknown, outside the text, or already stitched and not
+//!   the entry; a `BrXfer` that is the last op always exits.
 //!
 //! All trace ops live in one contiguous arena (`TraceEngine::arena`)
 //! and each op is packed to 16 bytes (the control tag rides in the top
@@ -80,7 +87,8 @@ const UNROLL: bool = true;
 /// top byte of [`TOp::pc_ctl`]; side-exit targets are derived from the
 /// op itself rather than stored (a mispredicted expected-taken guard
 /// falls through to `pc + 8`, a mispredicted expected-not-taken guard
-/// goes to the branch target in `d.imm`).
+/// goes to the branch target in `d.imm`, and a `BrXfer`'s predicted
+/// target is the next op's pc).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub(crate) enum Ctl {
@@ -97,13 +105,11 @@ pub(crate) enum Ctl {
     /// trace op is its delay slot; the trace continues at the static
     /// target.
     Uncond = 3,
-    /// Branch-register compare-and-branch (`br != 0`), predicted to
-    /// fall through: replays the full transfer bookkeeping, then
-    /// side-exits unless control lands at `pc + 4` (the next trace op).
-    BrGuard = 4,
     /// Branch-register op with `br != 0`: replays the transfer
-    /// bookkeeping and ends the trace at the dynamic target.
-    BrTail = 5,
+    /// bookkeeping, then continues if the dynamic target is the next
+    /// trace op's pc and exits to that target otherwise (always, when
+    /// it is the trace's last op).
+    BrXfer = 4,
 }
 
 /// One predecoded instruction inside a trace: the flattened operands
@@ -135,8 +141,7 @@ impl TOp {
             1 => Ctl::GuardTaken,
             2 => Ctl::GuardNot,
             3 => Ctl::Uncond,
-            4 => Ctl::BrGuard,
-            _ => Ctl::BrTail,
+            _ => Ctl::BrXfer,
         }
     }
 }
@@ -147,7 +152,8 @@ pub(crate) struct Trace {
     start: u32,
     len: u32,
     /// Where control resumes when the trace runs off its end (never
-    /// read when the last op is a [`Ctl::BrTail`]).
+    /// read when the last op is a [`Ctl::BrXfer`], which always exits
+    /// to its dynamic target).
     exit_pc: u32,
 }
 
@@ -160,11 +166,11 @@ pub(crate) struct TraceEngine {
     traces: Vec<Trace>,
     /// Every trace's ops, contiguous.
     arena: Vec<TOp>,
-    /// Loop-closure scratch for baseline formation: `seen[i] == epoch`
-    /// means text word `i` is already in the trace being formed. The
-    /// epoch bump makes clearing free (no O(text) memset per trace —
-    /// formation runs during warmup, which small programs re-pay on
-    /// every fresh emulator).
+    /// Loop-closure scratch for formation on both machines:
+    /// `seen[i] == epoch` means text word `i` is already in the trace
+    /// being formed. The epoch bump makes clearing free (no O(text)
+    /// memset per trace — formation runs during warmup, which small
+    /// programs re-pay on every fresh emulator).
     seen: Vec<u32>,
     epoch: u32,
     /// Reusable formation buffer, copied into `arena` on success.
@@ -190,6 +196,14 @@ fn pc_of(idx: usize) -> u32 {
     abi::TEXT_BASE + ((idx as u32) << 2)
 }
 
+/// Text index of `pc` when it is an aligned address inside the text.
+#[inline]
+fn text_idx(pc: u32, text_len: usize) -> Option<usize> {
+    let off = pc.wrapping_sub(abi::TEXT_BASE);
+    let idx = (off >> 2) as usize;
+    (off & 3 == 0 && idx < text_len).then_some(idx)
+}
+
 /// Whether a kind may ride inside a trace (or a baseline delay slot)
 /// with no control behavior of its own.
 fn plain_ok(k: Kind) -> bool {
@@ -199,11 +213,19 @@ fn plain_ok(k: Kind) -> bool {
 impl TraceEngine {
     /// Stitch a superblock starting at text index `start` and commit it
     /// to the arena, or return `None` if too short to pay for itself.
-    fn form(&mut self, machine: Machine, ops: &[Decoded], start: usize) -> Option<u32> {
+    /// `bregs` are the emulator's branch registers at trace entry.
+    fn form(
+        &mut self,
+        machine: Machine,
+        ops: &[Decoded],
+        start: usize,
+        bregs: &[u32; 8],
+    ) -> Option<u32> {
         self.scratch.clear();
+        self.epoch += 1;
         let exit_pc = match machine {
             Machine::Baseline => self.form_baseline(ops, start),
-            Machine::BranchReg => self.form_br(ops, start),
+            Machine::BranchReg => self.form_br(ops, start, bregs),
         };
         if self.scratch.len() < MIN_TRACE_OPS {
             return None;
@@ -218,30 +240,35 @@ impl TraceEngine {
         Some(id)
     }
 
+    /// Whether formation stops at text index `idx` because the trace
+    /// already holds it. Returning to the entry instead unrolls another
+    /// lap (a fresh epoch lets the body be re-stitched) to amortize
+    /// trace dispatch over many iterations; `MAX_TRACE_OPS` bounds the
+    /// unroll. A cycle that doesn't pass through the entry stops the
+    /// trace: its head gets its own trace once hot.
+    fn closes_cycle(&mut self, idx: usize, start: usize) -> bool {
+        if self.seen[idx] != self.epoch {
+            return false;
+        }
+        if UNROLL && idx == start {
+            self.epoch += 1;
+            return false;
+        }
+        true
+    }
+
     /// Fill `scratch` with the baseline superblock at `start`; returns
     /// its fall-off exit pc.
     fn form_baseline(&mut self, ops: &[Decoded], start: usize) -> u32 {
-        self.epoch += 1;
-        let mut ep = self.epoch;
         let mut idx = start;
         loop {
-            if self.scratch.len() >= MAX_TRACE_OPS || idx >= ops.len() {
+            if self.scratch.len() >= MAX_TRACE_OPS
+                || idx >= ops.len()
+                || self.closes_cycle(idx, start)
+            {
                 break pc_of(idx);
             }
-            if self.seen[idx] == ep {
-                if UNROLL && idx == start {
-                    // The trace closed a loop back to its own entry:
-                    // unroll another lap (fresh epoch so the body can
-                    // be re-stitched) to amortize trace dispatch over
-                    // many iterations. MAX_TRACE_OPS bounds the unroll.
-                    self.epoch += 1;
-                    ep = self.epoch;
-                } else {
-                    // Closed a cycle that doesn't pass through the
-                    // entry; its head will get its own trace once hot.
-                    break pc_of(idx);
-                }
-            }
+            let ep = self.epoch;
             let d = ops[idx];
             let k = d.kind;
             match k {
@@ -250,14 +277,10 @@ impl TraceEngine {
                     if idx + 1 >= ops.len() || !plain_ok(ops[idx + 1].kind) {
                         break pc_of(idx);
                     }
-                    let target = d.imm as u32;
-                    let t_off = target.wrapping_sub(abi::TEXT_BASE);
-                    let t_idx = (t_off >> 2) as usize;
-                    let target_ok = t_off & 3 == 0 && t_idx < ops.len();
                     // Static prediction: backward taken, forward not
                     // taken.
-                    let expect_taken = target_ok && t_idx <= idx;
-                    let ctl = if expect_taken {
+                    let taken_idx = text_idx(d.imm as u32, ops.len()).filter(|&t| t <= idx);
+                    let ctl = if taken_idx.is_some() {
                         Ctl::GuardTaken
                     } else {
                         Ctl::GuardNot
@@ -267,14 +290,13 @@ impl TraceEngine {
                     self.seen[idx + 1] = ep;
                     self.scratch
                         .push(TOp::new(ops[idx + 1], pc_of(idx + 1), Ctl::Plain));
-                    idx = if expect_taken { t_idx } else { idx + 2 };
+                    idx = taken_idx.unwrap_or(idx + 2);
                 }
                 Kind::Ba | Kind::Call => {
-                    let target = d.imm as u32;
-                    let t_off = target.wrapping_sub(abi::TEXT_BASE);
-                    let t_idx = (t_off >> 2) as usize;
-                    let target_ok = t_off & 3 == 0 && t_idx < ops.len();
-                    if idx + 1 >= ops.len() || !plain_ok(ops[idx + 1].kind) || !target_ok {
+                    let Some(t_idx) = text_idx(d.imm as u32, ops.len()) else {
+                        break pc_of(idx);
+                    };
+                    if idx + 1 >= ops.len() || !plain_ok(ops[idx + 1].kind) {
                         break pc_of(idx);
                     }
                     self.seen[idx] = ep;
@@ -296,34 +318,58 @@ impl TraceEngine {
         }
     }
 
-    /// Fill `scratch` with the branch-register superblock at `start`;
-    /// returns its fall-off exit pc.
-    fn form_br(&mut self, ops: &[Decoded], start: usize) -> u32 {
+    /// Fill `scratch` with the branch-register superblock at `start`,
+    /// following each transfer's predicted target; returns its fall-off
+    /// exit pc.
+    fn form_br(&mut self, ops: &[Decoded], start: usize, bregs: &[u32; 8]) -> u32 {
+        // Predicted branch registers (`None`: unknown). One not yet
+        // written in the trace keeps its value at entry, which for a
+        // hoisted, loop-invariant target is the loop's value.
+        let mut pred = bregs.map(Some);
         let mut idx = start;
         loop {
-            if self.scratch.len() >= MAX_TRACE_OPS || idx >= ops.len() {
+            if self.scratch.len() >= MAX_TRACE_OPS
+                || idx >= ops.len()
+                || self.closes_cycle(idx, start)
+                || !plain_ok(ops[idx].kind)
+            {
                 break pc_of(idx);
             }
+            self.seen[idx] = self.epoch;
             let d = ops[idx];
-            if !plain_ok(d.kind) {
-                break pc_of(idx);
+            let pc = pc_of(idx);
+            // Like the threaded loop, a transfer reads b[br] before the
+            // op executes.
+            let read = pred[d.br as usize];
+            match d.kind {
+                Kind::Bcalc => pred[d.a as usize] = Some(d.imm as u32),
+                Kind::BMovB if d.b == 0 => pred[d.a as usize] = Some(pc + 4),
+                Kind::BMovB => pred[d.a as usize] = pred[d.b as usize],
+                Kind::BMovR | Kind::BLoadRR | Kind::BLoadRI => pred[d.a as usize] = None,
+                // Predicted not taken: b[7] gets the fall-through, past
+                // the carrier, or past a fused compare itself.
+                k if k.is_cmpbr() => pred[7] = Some(if d.br != 0 { pc + 4 } else { pc + 8 }),
+                _ => {}
             }
-            if d.br != 0 {
-                // A conditional (compare-and-branch) transfer usually
-                // falls through, so guard it and keep stitching;
-                // anything else (calls, returns, computed jumps through
-                // a breg) has a genuinely dynamic target and ends the
-                // superblock.
-                if d.kind.is_cmpbr() {
-                    self.scratch.push(TOp::new(d, pc_of(idx), Ctl::BrGuard));
-                    idx += 1;
-                    continue;
-                }
-                self.scratch.push(TOp::new(d, pc_of(idx), Ctl::BrTail));
-                break pc_of(idx + 1);
+            if d.br == 0 {
+                self.scratch.push(TOp::new(d, pc, Ctl::Plain));
+                idx += 1;
+                continue;
             }
-            self.scratch.push(TOp::new(d, pc_of(idx), Ctl::Plain));
-            idx += 1;
+            self.scratch.push(TOp::new(d, pc, Ctl::BrXfer));
+            // A fused compare transfers through the value it just wrote.
+            let target = if d.kind.is_cmpbr() {
+                pred[d.br as usize]
+            } else {
+                read
+            };
+            pred[7] = Some(pc + 4);
+            // An unknown or out-of-text target ends the trace; the
+            // `BrXfer` then exits to wherever control really goes.
+            match target.and_then(|t| text_idx(t, ops.len())) {
+                Some(t) => idx = t,
+                None => break pc + 4,
+            }
         }
     }
 }
@@ -353,13 +399,10 @@ impl Emulator<'_> {
         hook: &mut H,
     ) -> Result<(), EmuError> {
         loop {
-            let pc = self.pc;
-            let off = pc.wrapping_sub(abi::TEXT_BASE);
-            let idx = (off >> 2) as usize;
-            if off & 3 != 0 || idx >= self.ops.len() {
+            let Some(idx) = text_idx(self.pc, self.ops.len()) else {
                 // Let the threaded loop raise the exact BadFetch.
                 return Ok(());
-            }
+            };
             let tid = match engine.map[idx] {
                 NEVER => return Ok(()),
                 UNEXPLORED => {
@@ -367,7 +410,7 @@ impl Emulator<'_> {
                     if engine.heat[idx] < HOT {
                         return Ok(());
                     }
-                    match engine.form(self.prog.machine, &self.ops, idx) {
+                    match engine.form(self.prog.machine, &self.ops, idx, &self.bregs) {
                         Some(id) => {
                             engine.map[idx] = id;
                             id
@@ -482,29 +525,22 @@ impl Emulator<'_> {
                     hook.retire(pc, None);
                     i += 1;
                 }
-                Ctl::BrGuard => {
+                Ctl::BrXfer => {
                     let next = match self.br_transfer(&op.d, pc, now, hook) {
                         Ok(n) => n,
                         Err(e) => bail!(pc, e),
                     };
-                    if next == pc + 4 {
-                        i += 1;
-                    } else {
-                        self.meas.instructions = entry + executed;
-                        self.trace_insts += executed;
-                        self.pc = next;
-                        return Ok(());
+                    // Continue where formation predicted the transfer
+                    // goes: the next trace op.
+                    match ops.get(i + 1) {
+                        Some(n) if n.pc() == next => i += 1,
+                        _ => {
+                            self.meas.instructions = entry + executed;
+                            self.trace_insts += executed;
+                            self.pc = next;
+                            return Ok(());
+                        }
                     }
-                }
-                Ctl::BrTail => {
-                    let next = match self.br_transfer(&op.d, pc, now, hook) {
-                        Ok(n) => n,
-                        Err(e) => bail!(pc, e),
-                    };
-                    self.meas.instructions = entry + executed;
-                    self.trace_insts += executed;
-                    self.pc = next;
-                    return Ok(());
                 }
             }
         }
@@ -557,6 +593,151 @@ impl Emulator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExecTier, TraceHook};
+    use br_codegen::BrOptions;
+    use br_isa::Program;
+
+    fn compile_br(src: &str, opts: BrOptions) -> Program {
+        let module = br_frontend::compile(src).expect("frontend");
+        br_codegen::compile_module(&module, Machine::BranchReg, Default::default(), opts)
+            .expect("codegen")
+            .asm
+            .assemble()
+            .expect("assemble")
+    }
+
+    fn has(prog: &Program, pred: impl Fn(&Decoded) -> bool) -> bool {
+        br_isa::decoded::predecode(prog).iter().any(pred)
+    }
+
+    /// Run `prog` on the interpreter and on the traced tier: both must
+    /// end alike and emit identical hook streams, and the traced run
+    /// must spend most of its instructions inside traces.
+    fn assert_traced_matches_interp(name: &str, prog: &Program, want: i32) {
+        let run = |tier| {
+            let mut emu = Emulator::new(prog).with_tier(tier);
+            let mut hook = TraceHook::default();
+            let exit = emu.run_with_hook(10_000_000, &mut hook);
+            let meas = emu.measurements().clone();
+            (exit, emu.pc(), meas, hook, emu.traced_insts())
+        };
+        let (exit, pc, meas, hook, _) = run(ExecTier::Interp);
+        let (t_exit, t_pc, t_meas, t_hook, traced) = run(ExecTier::Traced);
+        assert_eq!(exit, Ok(want), "{name}: interpreter exit");
+        assert_eq!(t_exit, exit, "{name}: exit");
+        assert_eq!(t_pc, pc, "{name}: pc");
+        assert_eq!(t_meas, meas, "{name}: measurements");
+        assert!(!hook.truncated(), "{name}: hook cap too small");
+        assert_eq!(t_hook.fetches, hook.fetches, "{name}: fetch stream");
+        assert_eq!(
+            t_hook.prefetches, hook.prefetches,
+            "{name}: prefetch stream"
+        );
+        assert_eq!(t_hook.retires, hook.retires, "{name}: retire stream");
+        assert_eq!(t_hook.stores, hook.stores, "{name}: store stream");
+        assert_eq!(t_hook.dropped, hook.dropped, "{name}: dropped events");
+        assert!(
+            2 * traced > meas.instructions,
+            "{name}: only {traced} of {} instructions ran in traces",
+            meas.instructions
+        );
+    }
+
+    /// A leaf called from two sites in one hot loop: the trace formed
+    /// at its entry predicts the return to whichever site made it hot,
+    /// so entering it from the other site mispredicts the return.
+    #[test]
+    fn a_return_guard_formed_for_one_call_site_exits_at_the_other() {
+        let src = "int leaf(int x) { return x + x + 1; }
+            int main() {
+                int s = 0;
+                for (int i = 0; i < 300; i++) { s = s + leaf(i); s = s - leaf(s & 15); }
+                return s;
+            }";
+        let prog = compile_br(src, BrOptions::default());
+        assert_traced_matches_interp("two call sites", &prog, 84_948);
+    }
+
+    /// A dense `switch` jumps through a target `bload`ed from its
+    /// table, which formation cannot predict: the trace ends there.
+    #[test]
+    fn a_jump_table_transfer_ends_the_trace() {
+        let src = "int main() {
+                int s = 0;
+                for (int i = 0; i < 300; i++) {
+                    switch (i % 5) {
+                        case 0: s += 3; break;
+                        case 1: s ^= i; break;
+                        case 2: s -= 7; break;
+                        case 3: s += i * 2; break;
+                        case 4: s = s * 3 % 1000; break;
+                    }
+                }
+                return s;
+            }";
+        let prog = compile_br(src, BrOptions::default());
+        assert!(has(&prog, |d| d.kind == Kind::BLoadRR && d.br == 0));
+        assert_traced_matches_interp("jump table", &prog, 136);
+    }
+
+    /// Fused fast compares transfer through the `b[7]` they just wrote;
+    /// formation predicts them not taken, and these go both ways.
+    #[test]
+    fn fused_compares_taken_and_not_taken_match_the_interpreter() {
+        let src = "int main() {
+                int s = 0;
+                for (int i = 0; i < 300; i++) {
+                    if (i % 3 == 0) s += i; else s -= 1;
+                    if (s > 100) s = s - 50;
+                }
+                return s;
+            }";
+        let opts = BrOptions {
+            fused_compare: true,
+            ..BrOptions::default()
+        };
+        let prog = compile_br(src, opts);
+        assert!(has(&prog, |d| d.kind.is_cmpbr() && d.br != 0));
+        assert_traced_matches_interp("fused compare", &prog, 3650);
+    }
+
+    /// With four branch registers, targets live across calls are saved
+    /// and restored through `bstore`/`bload`, so restored registers are
+    /// unknown to formation.
+    #[test]
+    fn saved_and_restored_targets_match_the_interpreter() {
+        let src = "int leaf(int x) { int t = 0; for (int j = 0; j < x % 4; j++) t += j; return t; }
+            int mid(int x) { int s = 0; for (int k = 0; k < 3; k++) s += leaf(x + k); return s; }
+            int main() { int s = 0; for (int i = 0; i < 100; i++) s += mid(i); return s; }";
+        let opts = BrOptions {
+            num_bregs: 4,
+            ..BrOptions::default()
+        };
+        let prog = compile_br(src, opts);
+        assert!(has(&prog, |d| d.kind == Kind::BStore), "no bstore emitted");
+        assert_traced_matches_interp("four bregs", &prog, 300);
+    }
+
+    /// `sum 0..49` forms a superblock that runs through a predicted
+    /// transfer and unrolls its loop: it passes the loop head twice.
+    #[test]
+    fn a_loop_runs_through_its_predicted_transfers_and_unrolls() {
+        let src = "int main() { int s = 0; for (int i = 0; i < 50; i++) s += i; return s; }";
+        let prog = compile_br(src, BrOptions::default());
+        let mut emu = Emulator::new(&prog).with_tier(ExecTier::Traced);
+        assert_eq!(emu.run(1_000_000), Ok(1225));
+        let engine = emu.engine.as_ref().expect("traced run keeps its engine");
+        let unrolled = engine.traces.iter().any(|t| {
+            let ops = &engine.arena[t.start as usize..(t.start + t.len) as usize];
+            let inner_xfer = ops[..ops.len() - 1].iter().any(|o| o.ctl() == Ctl::BrXfer);
+            let head = ops[0].pc();
+            inner_xfer && ops.iter().filter(|o| o.pc() == head).count() >= 2
+        });
+        assert!(
+            unrolled,
+            "no trace runs through a transfer around the loop twice"
+        );
+    }
 
     #[test]
     fn top_is_16_bytes_and_roundtrips() {
@@ -575,8 +756,7 @@ mod tests {
             Ctl::GuardTaken,
             Ctl::GuardNot,
             Ctl::Uncond,
-            Ctl::BrGuard,
-            Ctl::BrTail,
+            Ctl::BrXfer,
         ] {
             let op = TOp::new(d, 0x0012_3454, ctl);
             assert_eq!(op.pc(), 0x0012_3454);

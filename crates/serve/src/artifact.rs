@@ -1,6 +1,6 @@
 //! On-disk artifact format for cached compilations.
 //!
-//! An artifact file is `b"BRA1"` + an FNV-1a 64 checksum + a body
+//! An artifact file is `b"BRA2"` + an FNV-1a 64 checksum + a body
 //! holding everything needed to rebuild a [`Program`] and its
 //! [`CodegenStats`]. The checksum covers the whole body, so a flipped
 //! bit, truncated write, or partially overwritten file is detected on
@@ -12,13 +12,22 @@
 //! non-data word through [`br_isa::decode`]. That also means a stale
 //! artifact written by an older encoder fails loudly (decode error →
 //! quarantine) rather than silently misexecuting.
+//!
+//! The data segment is stored sparsely: its length, a bitmap of its
+//! 4 KiB chunks, and only the chunks that hold a non-zero byte.
+//! Zero-initialised arrays are most of some programs' data (a 64 KiB
+//! buffer is common), and the loader zero-fills them back.
 
 use crate::wire::{fnv1a, Dec, Enc, WireError};
 use br_core::CodegenStats;
-use br_isa::{BlockMark, Machine, Program, TextWord};
+use br_isa::{abi, BlockMark, Machine, Program, TextWord};
 
-/// File magic: "branch-register artifact, version 1".
-pub const MAGIC: &[u8; 4] = b"BRA1";
+/// File magic: "branch-register artifact, version 2" (version 1 stored
+/// the data segment densely).
+pub const MAGIC: &[u8; 4] = b"BRA2";
+
+/// Granule of the sparse data-segment encoding.
+const DATA_CHUNK: usize = 4096;
 
 /// Why an artifact failed to load. Every variant means "recompile";
 /// the cache additionally quarantines the file for the corrupt ones.
@@ -86,7 +95,18 @@ pub fn serialize(prog: &Program, stats: &CodegenStats) -> Vec<u8> {
     }
     e.bytes(&bitmap);
 
-    e.bytes(&prog.data);
+    // Data segment: length, bitmap of non-zero chunks, those chunks.
+    e.u32(prog.data.len() as u32);
+    let mut chunk_map = vec![0u8; prog.data.len().div_ceil(DATA_CHUNK).div_ceil(8)];
+    let mut chunks = Vec::new();
+    for (i, chunk) in prog.data.chunks(DATA_CHUNK).enumerate() {
+        if chunk.iter().any(|&b| b != 0) {
+            chunk_map[i / 8] |= 1 << (i % 8);
+            chunks.extend_from_slice(chunk);
+        }
+    }
+    e.bytes(&chunk_map);
+    e.bytes(&chunks);
 
     let mut symbols: Vec<(&String, &u32)> = prog.symbols.iter().collect();
     symbols.sort();
@@ -178,7 +198,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<(Program, CodegenStats), ArtifactErro
         }
     }
 
-    let data = d.bytes()?.to_vec();
+    let data = sparse_data(&mut d)?;
 
     let nsyms = d.u32()? as usize;
     let mut symbols = std::collections::HashMap::new();
@@ -223,6 +243,51 @@ pub fn deserialize(bytes: &[u8]) -> Result<(Program, CodegenStats), ArtifactErro
         },
         stats,
     ))
+}
+
+/// Read the sparse data segment [`serialize`] writes. Its length is
+/// checked against the memory map before anything is allocated, since
+/// a checksum-valid body may still claim `u32::MAX` bytes.
+fn sparse_data(d: &mut Dec<'_>) -> Result<Vec<u8>, ArtifactError> {
+    let len = d.u32()?;
+    if len > abi::MEM_SIZE - abi::DATA_BASE {
+        return Err(ArtifactError::Malformed(format!(
+            "data segment of {len} bytes exceeds memory"
+        )));
+    }
+    let len = len as usize;
+    let nchunks = len.div_ceil(DATA_CHUNK);
+    let chunk_map = d.bytes()?;
+    let chunks = d.bytes()?;
+    if chunk_map.len() != nchunks.div_ceil(8) {
+        return Err(ArtifactError::Malformed(format!(
+            "data chunk bitmap holds {} bytes for {nchunks} chunks",
+            chunk_map.len()
+        )));
+    }
+    let mut data = vec![0u8; len];
+    let (mut rest, mut present) = (chunks, 0);
+    for (i, chunk) in data.chunks_mut(DATA_CHUNK).enumerate() {
+        if chunk_map[i / 8] & (1 << (i % 8)) == 0 {
+            continue;
+        }
+        let Some((head, tail)) = rest.split_at_checked(chunk.len()) else {
+            return Err(ArtifactError::Malformed(format!(
+                "data chunk {i} is past the {} stored bytes",
+                chunks.len()
+            )));
+        };
+        chunk.copy_from_slice(head);
+        rest = tail;
+        present += 1;
+    }
+    let marked: u32 = chunk_map.iter().map(|b| b.count_ones()).sum();
+    if !rest.is_empty() || marked != present {
+        return Err(ArtifactError::Malformed(
+            "data chunks disagree with their bitmap".into(),
+        ));
+    }
+    Ok(data)
 }
 
 #[cfg(test)]
@@ -282,6 +347,32 @@ mod tests {
     }
 
     #[test]
+    fn zero_data_chunks_are_not_stored_and_load_back_as_zeros() {
+        let (mut prog, stats) = compiled();
+        prog.data.clear();
+        let empty = serialize(&prog, &stats).len();
+        let mut data = vec![0u8; 5 * DATA_CHUNK + 100];
+        data[3] = 1;
+        // A zero chunk on each side, and a partial last chunk.
+        data[3 * DATA_CHUNK + 7] = 2;
+        data[5 * DATA_CHUNK + 99] = 3;
+        prog.data = data;
+        let bytes = serialize(&prog, &stats);
+        let (p2, _) = deserialize(&bytes).expect("roundtrip");
+        assert_eq!(p2.data, prog.data);
+        // One bitmap byte for six chunks, and three chunks stored.
+        assert_eq!(bytes.len() - empty, 1 + 2 * DATA_CHUNK + 100);
+    }
+
+    #[test]
+    fn a_version_one_file_reads_as_bad_magic() {
+        let (prog, stats) = compiled();
+        let mut bytes = serialize(&prog, &stats);
+        bytes[..4].copy_from_slice(b"BRA1");
+        assert_eq!(deserialize(&bytes).unwrap_err(), ArtifactError::BadMagic);
+    }
+
+    #[test]
     fn serialization_is_deterministic() {
         let (prog, stats) = compiled();
         assert_eq!(serialize(&prog, &stats), serialize(&prog, &stats));
@@ -315,10 +406,11 @@ mod tests {
     #[test]
     fn huge_counts_are_malformed_not_an_allocation_abort() {
         // Checksum-valid bodies that stop right after a count of
-        // u32::MAX code words, symbols, or block marks. The zeros before
-        // it are the earlier fields, left empty: code count, bitmap,
-        // data, symbol count.
-        for zeros in [0, 3, 4] {
+        // u32::MAX code words, data bytes, symbols, or block marks. The
+        // zeros before it are the earlier fields, left empty: code
+        // count, text bitmap, data length, chunk bitmap, chunks, symbol
+        // count.
+        for zeros in [0, 2, 5, 6] {
             let mut e = Enc::new();
             e.u8(0);
             e.u32(0);
@@ -336,30 +428,33 @@ mod tests {
         }
     }
 
-    /// Where a body's code, symbol and block counts sit, each with the
-    /// fewest bytes one of its entries takes, and where its data
-    /// segment's bytes sit.
-    fn layout(body: &[u8]) -> ([(usize, usize); 3], std::ops::Range<usize>) {
+    /// Where a body's code count, data length, symbol count and block
+    /// count sit, each with the fewest bytes one of its entries takes,
+    /// and where its stored data chunks sit.
+    fn layout(body: &[u8]) -> ([(usize, usize); 4], std::ops::Range<usize>) {
         let u32_at = |at: usize| u32::from_le_bytes(body[at..at + 4].try_into().unwrap()) as usize;
         let code = 5;
         let bitmap = code + 4 + 4 * u32_at(code);
-        let data = bitmap + 4 + u32_at(bitmap);
-        let symbols = data + 4 + u32_at(data);
+        let data_len = bitmap + 4 + u32_at(bitmap);
+        let chunk_map = data_len + 4;
+        let chunks = chunk_map + 4 + u32_at(chunk_map);
+        let symbols = chunks + 4 + u32_at(chunks);
         let mut blocks = symbols + 4;
         for _ in 0..u32_at(symbols) {
             blocks += 4 + u32_at(blocks) + 4;
         }
-        // Code word; name length and address; mark word, function name
-        // length and label tag.
-        let counts = [(code, 4), (symbols, 8), (blocks, 9)];
-        (counts, data + 4..symbols)
+        // Code word; data byte; name length and address; mark word,
+        // function name length and label tag.
+        let counts = [(code, 4), (data_len, 1), (symbols, 8), (blocks, 9)];
+        (counts, chunks + 4..symbols)
     }
 
     /// A checksum stops a mutated artifact before its body is decoded,
     /// so these mutations are re-sealed: each Test-scale suite binary,
     /// on both machines, with seeded single-bit flips, cut at every
-    /// length (at a stride inside the data segment), and with each
-    /// count at 0, at `u32::MAX` and one past the body. Every input
+    /// length (at a stride inside the stored data chunks), and with
+    /// each count and the data length at 0, at `u32::MAX` and one past
+    /// the body. Every input
     /// must load or give an `ArtifactError`, and every program that
     /// loads must validate and run at small fuel to a typed result,
     /// never a panic.
@@ -398,9 +493,9 @@ mod tests {
         };
         for (name, body) in &bodies {
             let (counts, data) = layout(body);
-            // The loader takes the data segment as one slice, so every
-            // cut inside it fails at the same read: a stride covers them
-            // and keeps the test fast despite the 64 KiB segments.
+            // The loader takes the stored data chunks as one slice, so
+            // every cut inside it fails at the same read: a stride
+            // covers them and keeps the test fast.
             let cuts =
                 (0..body.len()).filter(|cut| !data.contains(cut) || (cut - data.start) % 4096 == 0);
             for cut in cuts {

@@ -14,6 +14,7 @@
 //! stores legitimately differ. Stores to named globals follow the same
 //! IR order on both machines and must match exactly.
 
+use br_codegen::BrOptions;
 use br_emu::{EmuError, Emulator, ExecHook};
 use br_ir::{InterpError, Interpreter, Module};
 use br_isa::{abi, Machine, Program};
@@ -91,8 +92,9 @@ pub enum Divergence {
     },
     /// An execution tier disagreed with the interpreter on the same
     /// program (`--tiers` mode): different exit value, measurements,
-    /// global-store stream, or error. Always a real emulator bug — the
-    /// tiers are defined to be observationally identical.
+    /// global-store stream, fetch, prefetch or retire stream, or error.
+    /// Always a real emulator bug — the tiers are defined to be
+    /// observationally identical.
     TierMismatch {
         machine: Machine,
         /// Name of the disagreeing tier (`threaded` / `traced`).
@@ -240,6 +242,16 @@ pub fn compile_for_with(
         verify,
         ..br_core::Experiment::new()
     };
+    compile_with_experiment(&exp, module, machine, budget)
+}
+
+/// [`compile_for_with`] under `exp`'s codegen options.
+fn compile_with_experiment(
+    exp: &br_core::Experiment,
+    module: &Module,
+    machine: Machine,
+    budget: Option<(std::time::Instant, u64)>,
+) -> Result<Program, Divergence> {
     exp.compile_module_budgeted(module, machine, budget.map(|(deadline, _)| deadline))
         .map(|(prog, _stats)| prog)
         .map_err(|e| match e {
@@ -562,34 +574,92 @@ pub fn check_src_tv(
     check_module_tv(&module, fuel, verify, budget_ms)
 }
 
+/// Running FNV-1a 64 digest and length of one hook event stream, so the
+/// tier oracle compares whole streams without buffering them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StreamDigest {
+    hash: u64,
+    count: u64,
+}
+
+impl StreamDigest {
+    const EMPTY: StreamDigest = StreamDigest {
+        hash: 0xcbf2_9ce4_8422_2325,
+        count: 0,
+    };
+
+    fn push(&mut self, words: &[u32]) {
+        for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+            self.hash = (self.hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        self.count += 1;
+    }
+}
+
+/// Names of the streams [`TierHook`] digests, in `streams` order.
+const STREAMS: [&str; 3] = ["fetch", "prefetch", "retire"];
+
+/// The tier oracle's hook: the global-store stream in full, plus a
+/// digest of every fetch, prefetch and retire event (a retire's store
+/// included). The instruction-cache replay consumes the fetch and
+/// prefetch streams.
+struct TierHook {
+    globals: GlobalStores,
+    streams: [StreamDigest; 3],
+}
+
+impl ExecHook for TierHook {
+    fn fetch(&mut self, addr: u32) {
+        self.streams[0].push(&[addr]);
+    }
+
+    fn prefetch(&mut self, addr: u32) {
+        self.streams[1].push(&[addr]);
+    }
+
+    fn retire(&mut self, pc: u32, store: Option<(u32, i32)>) {
+        match store {
+            Some((addr, v)) => self.streams[2].push(&[pc, addr, v as u32]),
+            None => self.streams[2].push(&[pc]),
+        }
+        self.globals.retire(pc, store);
+    }
+}
+
 /// One tier's observable outcome on a single program, for comparison.
 struct TierRun {
     result: Result<i32, EmuError>,
     meas: br_emu::Measurements,
     global_stores: Vec<(u32, i32)>,
+    streams: [StreamDigest; 3],
 }
 
 fn run_tier(prog: &Program, fuel: u64, tier: br_emu::ExecTier, hi: u32) -> TierRun {
     let mut emu = Emulator::new(prog).with_tier(tier);
-    let mut hook = GlobalStores {
-        lo: abi::DATA_BASE,
-        hi,
-        stores: Vec::new(),
+    let mut hook = TierHook {
+        globals: GlobalStores {
+            lo: abi::DATA_BASE,
+            hi,
+            stores: Vec::new(),
+        },
+        streams: [StreamDigest::EMPTY; 3],
     };
     let result = emu.run_with_hook(fuel, &mut hook);
     TierRun {
         result,
         meas: emu.measurements().clone(),
-        global_stores: hook.stores,
+        global_stores: hook.globals.stores,
+        streams: hook.streams,
     }
 }
 
 /// Differential check of the execution tiers themselves: runs `prog`
 /// once per [`br_emu::ExecTier`] and demands the threaded and traced
 /// tiers reproduce the interpreter's exit value (or its exact typed
-/// error), its [`br_emu::Measurements`], and its ordered global-store
-/// stream. Unlike the three-way machine oracle, this needs no IR
-/// reference — the interpreter tier *is* the reference.
+/// error), its [`br_emu::Measurements`], its ordered global-store
+/// stream, and its fetch, prefetch and retire streams (compared by
+/// count and FNV-1a digest). Unlike the three-way machine oracle, this
+/// needs no IR reference — the interpreter tier *is* the reference.
 pub fn check_tiers(module: &Module, prog: &Program, fuel: u64) -> Result<(), Divergence> {
     let machine = prog.machine;
     let hi = globals_end(module, prog);
@@ -621,7 +691,14 @@ pub fn check_tiers(module: &Module, prog: &Program, fuel: u64) -> Result<(), Div
                     .unwrap_or(reference.global_stores.len().min(got.global_stores.len()));
                 Some(format!("global-store stream diverges at #{pos}"))
             } else {
-                None
+                let (name, (a, b)) = STREAMS
+                    .iter()
+                    .zip(reference.streams.iter().zip(&got.streams))
+                    .find(|(_, (a, b))| a != b)?;
+                Some(format!(
+                    "{name} stream differs ({} events, digest {:#018x} vs {} events, digest {:#018x})",
+                    a.count, a.hash, b.count, b.hash
+                ))
             }
         });
         if let Some(detail) = detail {
@@ -636,10 +713,40 @@ pub fn check_tiers(module: &Module, prog: &Program, fuel: u64) -> Result<(), Div
 }
 
 /// `--tiers` oracle entry point: compile one module for both machines
-/// and run [`check_tiers`] on each binary.
+/// and run [`check_tiers`] on each binary, then on three more
+/// branch-register builds that each change one codegen option. Fused
+/// compares are the only source of compares that transfer (`br != 0`);
+/// four branch registers force targets through `bstore`/`bload`; and
+/// unhoisted loops recompute their targets in the body. A compile error
+/// in a variant is a divergence, as in the default build. (Fewer
+/// registers together with hoisting off once overflowed the text
+/// segment, so no variant combines the two.)
 pub fn check_module_tiers(module: &Module, fuel: u64) -> Result<(), Divergence> {
     for machine in [Machine::Baseline, Machine::BranchReg] {
         let prog = compile_for(module, machine)?;
+        check_tiers(module, &prog, fuel)?;
+    }
+    let default = BrOptions::default();
+    for br_opts in [
+        BrOptions {
+            fused_compare: true,
+            ..default
+        },
+        BrOptions {
+            num_bregs: 4,
+            ..default
+        },
+        BrOptions {
+            hoisting: false,
+            ..default
+        },
+    ] {
+        let exp = br_core::Experiment {
+            br_opts,
+            verify: false,
+            ..br_core::Experiment::new()
+        };
+        let prog = compile_with_experiment(&exp, module, Machine::BranchReg, None)?;
         check_tiers(module, &prog, fuel)?;
     }
     Ok(())

@@ -11,8 +11,10 @@
 # 200-iteration differential fuzz run (interpreter vs baseline machine vs
 # branch-register machine, with the br-verify stage gates and the
 # static translation-validation oracle enabled), a 500-seed
-# execution-tier differential (interp vs threaded vs traced must be
-# observationally identical), the RV32I conformance gate plus a
+# execution-tier differential (interp vs threaded vs traced must agree
+# on exits, measurements, global stores and the fetch, prefetch and
+# retire streams, on both machines and on fused-compare, four-register
+# and unhoisted branch-register builds), the RV32I conformance gate plus a
 # 500-seed foreign-ISA ingest differential (reference interpreter vs
 # both translated machines, with the br-verify stage gates on, so
 # translated foreign code meets every checker), the ISA-coverage gate (br-prof
@@ -59,7 +61,7 @@ cargo run --release -p br-torture -- --seed 42 --iters 200 --verify --tv --jobs 
 echo "==> fault-injection demo (typed errors, no panics)"
 cargo run --release -p br-torture -- --demo-fault
 
-echo "==> execution-tier differential smoke (500 seeds: interp vs threaded vs traced)"
+echo "==> execution-tier differential smoke (500 seeds: interp vs threaded vs traced, plus three branch-register codegen variants)"
 cargo run --release -p br-torture -- --seed 7 --iters 500 --tiers --jobs 4 --budget-ms 60000
 
 echo "==> RV32I conformance gate (every supported encoding executes and agrees three ways)"
